@@ -12,9 +12,9 @@
 //! ```
 //!
 //! On top of the wall-time scenarios, two serving traffic generators
-//! exercise the `feather-serve` front-end (replay-backed since PR 7 — the
-//! scheduler compiles each (model, batch) into a `feather::Program` once and
-//! replays it per request):
+//! exercise the `feather-serve` front-end (replay-backed: the scheduler
+//! compiles each model's batch-1 `feather::Program` once and replays it for
+//! every batch, multi-request batches in lane lockstep):
 //!
 //! - **Closed loop** — Poisson think times plus heavy-tail zero-think bursts
 //!   from 16 client threads, swept across the dynamic batcher's
@@ -45,10 +45,7 @@
 //! Environment: `FEATHER_BENCH_ITERS` overrides the measured iteration count
 //! (default 5; the median is reported) and scales the traffic generators'
 //! request counts; `FEATHER_SERVE_WORKERS` sizes the closed-loop sweep's
-//! executor pool (the open-loop grid pins its own);
-//! `FEATHER_SERVE_BATCHED_REPLAY=1` routes the closed-loop sweep's
-//! multi-request batches through the batched backend (how the committed
-//! snapshot is generated).
+//! executor pool (the open-loop grid pins its own).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -178,7 +175,7 @@ fn graph_resnet(iters: usize) -> (Snapshot, Snapshot, Snapshot) {
     let samples: Vec<Tensor4<i8>> = (0..REPLAY_LANES)
         .map(|i| Tensor4::random([1, ch, h, w], 7 + i as u64))
         .collect();
-    let mut scratch = feather::BatchedScratch::new();
+    let mut scratch = feather::ReplayScratch::new();
     let batched = replay
         .run_batched_with_scratch(&mut scratch, &samples, &weights)
         .expect("batched replay executes");
@@ -289,18 +286,12 @@ struct ServingPoint {
     executed_batches: u64,
     mean_batch: f64,
     rejected: u64,
-    /// Requests served by replaying an already-compiled program.
+    /// Batches served by replaying the already-compiled program.
     program_hits: u64,
-    /// Batch sizes that forced a compile (at most one per distinct size).
+    /// Batches that forced a compile (at most one: the model's program).
     program_misses: u64,
     artifact_hits: u64,
     artifact_misses: u64,
-    /// Whether the point ran with the lane-vectorized batched replay backend
-    /// enabled (`FEATHER_SERVE_BATCHED_REPLAY`).
-    batched_replay: bool,
-    /// Batches that actually took the batched backend (≥ 2 coalesced
-    /// requests with the knob on).
-    batched_replays: u64,
 }
 
 fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
@@ -336,13 +327,9 @@ fn serving_sweep(iters: usize) -> Vec<ServingPoint> {
     [1usize, 2, 4, 8]
         .iter()
         .map(|&max_batch| {
-            // `..from_env()` picks up FEATHER_SERVE_WORKERS (and
-            // ready_depth / FEATHER_SERVE_BATCHED_REPLAY), so the CI smoke
-            // can exercise the executor pool and the batched replay backend
-            // without a separate sweep; the committed snapshot runs with the
-            // default single worker and `FEATHER_SERVE_BATCHED_REPLAY=1`, so
-            // its multi-request batches go through the lane-vectorized
-            // backend.
+            // `..from_env()` picks up FEATHER_SERVE_WORKERS, so the CI smoke
+            // can exercise the executor pool without a separate sweep; the
+            // committed snapshot runs with the default single worker.
             let cfg = ServeConfig {
                 max_batch,
                 queue_depth: 256,
@@ -351,7 +338,6 @@ fn serving_sweep(iters: usize) -> Vec<ServingPoint> {
                 ..ServeConfig::from_env()
             };
             let workers = cfg.workers.max(1);
-            let batched_replay = cfg.batched_replay;
             let server = Arc::new(Server::new(cfg));
             server
                 .register_model("resnet50", config, &graph, weights.clone())
@@ -406,35 +392,15 @@ fn serving_sweep(iters: usize) -> Vec<ServingPoint> {
             latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
             let requests = latencies_ms.len() as u64;
             assert_eq!(stats.completed, requests, "every request must complete");
-            // The replay contract for serving: each distinct batch size
-            // compiles at most once; every other executed batch replays a
-            // cached program with zero planning/compile work.
-            assert!(
-                programs.misses <= max_batch as u64,
-                "at most one compile per distinct batch size"
-            );
+            // The replay contract for serving: the model compiles at most
+            // once; every other executed batch, whatever its size, replays
+            // that one program with zero planning/compile work.
+            assert!(programs.misses <= 1, "at most one compile per model");
             assert_eq!(
                 programs.hits + programs.misses,
                 stats.executed_batches(),
                 "every executed batch either replayed or compiled-once"
             );
-            // With the knob on, every multi-request batch must have taken
-            // the lane-vectorized backend — the counter is the proof the
-            // sweep actually measured it.
-            let multi_request_batches: u64 = stats
-                .batches
-                .iter()
-                .filter(|(size, _)| **size >= 2)
-                .map(|(_, count)| count)
-                .sum();
-            if batched_replay {
-                assert_eq!(
-                    stats.batched_replays, multi_request_batches,
-                    "batched backend must serve every multi-request batch"
-                );
-            } else {
-                assert_eq!(stats.batched_replays, 0, "batched backend is off");
-            }
             ServingPoint {
                 max_batch,
                 workers,
@@ -449,8 +415,6 @@ fn serving_sweep(iters: usize) -> Vec<ServingPoint> {
                 program_misses: programs.misses,
                 artifact_hits: programs.artifact_hits,
                 artifact_misses: programs.artifact_misses,
-                batched_replay,
-                batched_replays: stats.batched_replays,
             }
         })
         .collect()
@@ -754,8 +718,7 @@ fn main() {
              \"throughput_rps\": {:.1}, \
              \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"executed_batches\": {}, \
              \"mean_batch\": {:.2}, \"rejected\": {}, \"program_hits\": {}, \
-             \"program_misses\": {}, \"artifact_hits\": {}, \"artifact_misses\": {}, \
-             \"batched_replay\": {}, \"batched_replays\": {}}}{}\n",
+             \"program_misses\": {}, \"artifact_hits\": {}, \"artifact_misses\": {}}}{}\n",
             p.max_batch,
             p.workers,
             p.requests,
@@ -769,8 +732,6 @@ fn main() {
             p.program_misses,
             p.artifact_hits,
             p.artifact_misses,
-            p.batched_replay,
-            p.batched_replays,
             if i + 1 < serving.len() { "," } else { "" }
         ));
     }
@@ -837,20 +798,12 @@ fn main() {
         default_threads()
     );
     println!(
-        "\n{:<10} {:>9} {:>12} {:>10} {:>10} {:>9} {:>11} {:>11} {:>9}",
-        "max_batch",
-        "requests",
-        "rps",
-        "p50 ms",
-        "p99 ms",
-        "batches",
-        "mean batch",
-        "compiles",
-        "batched"
+        "\n{:<10} {:>9} {:>12} {:>10} {:>10} {:>9} {:>11} {:>11}",
+        "max_batch", "requests", "rps", "p50 ms", "p99 ms", "batches", "mean batch", "compiles"
     );
     for p in &serving {
         println!(
-            "{:<10} {:>9} {:>12.1} {:>10.3} {:>10.3} {:>9} {:>11.2} {:>11} {:>9}",
+            "{:<10} {:>9} {:>12.1} {:>10.3} {:>10.3} {:>9} {:>11.2} {:>11}",
             p.max_batch,
             p.requests,
             p.throughput_rps,
@@ -859,7 +812,6 @@ fn main() {
             p.executed_batches,
             p.mean_batch,
             p.program_misses,
-            p.batched_replays,
         );
     }
     println!(

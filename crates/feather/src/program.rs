@@ -565,77 +565,44 @@ impl Program {
     }
 }
 
-/// Reusable replay allocations: the per-segment StaB ping/pong pairs a
-/// [`ProgramSession::run_with_scratch`] call parks between runs instead of
+/// Reusable replay allocations: the per-segment StaB ping/pong pairs that
+/// [`ProgramSession::run_with_scratch`] and
+/// [`ProgramSession::run_batched_with_scratch`] park between runs instead of
 /// reallocating. One scratch belongs to one executor thread at a time (it is
 /// `&mut` for the whole run) and adapts automatically when handed a
-/// different program — the parked buffers are reshaped to the new program's
-/// specs, so a worker serving many (model, batch) pairs can keep one scratch
-/// per pair or share fewer and only pay a reshape.
+/// different program or lane count — the stash is keyed on
+/// `(fingerprint, batch, lanes)` and a mismatch drops it, so buffers striped
+/// for 4 lanes never serve an 8-lane run and lane-striped buffers never leak
+/// into a scalar one. A worker serving many (model, batch size) pairs can
+/// keep one scratch per pair or share fewer and only pay a regrow.
 ///
 /// Replaying through a reused scratch is bit-identical to replaying through
 /// a fresh one (outputs *and* the full report) — buffers are re-provisioned
 /// with [`PingPong::reset`] at every segment stage.
 #[derive(Debug, Default)]
 pub struct ReplayScratch {
-    /// `(fingerprint, batch)` of the program the stash was last used with;
-    /// a mismatch drops the stash so one scratch never hoards buffers shaped
-    /// for a program it no longer serves.
-    shaped_for: Option<(u64, usize)>,
+    /// `(fingerprint, batch, lanes)` of the last completed run through this
+    /// scratch; scalar runs use [`ReplayScratch::SCALAR`] as their lane key.
+    shaped_for: Option<(u64, usize, usize)>,
     /// One parked StaB pair per program segment.
     stabs: Vec<Option<PingPong<i32>>>,
 }
 
 impl ReplayScratch {
+    /// Lane key of the scalar replay path — distinct from every lane count
+    /// a batched run can use (those are ≥ 1).
+    const SCALAR: usize = 0;
+
     /// An empty scratch; buffers are grown on first use.
     pub fn new() -> Self {
         ReplayScratch::default()
     }
 
-    /// Re-targets the stash at `program`, dropping buffers from any other,
-    /// and marks it dirty until [`ReplayScratch::commit`]: if the replay
-    /// panics mid-run (a supervised serving worker catches it), the next
-    /// `begin` sees the mismatch and drops the half-staged stash instead of
-    /// replaying through it.
-    fn begin(&mut self, program: &Program) {
-        let key = (program.fingerprint, program.batch);
-        if self.shaped_for != Some(key) {
-            self.stabs.clear();
-        }
-        self.shaped_for = None;
-        if self.stabs.len() != program.segments.len() {
-            self.stabs.resize_with(program.segments.len(), || None);
-        }
-    }
-
-    /// Marks a completed run's stash clean so the next `begin` reuses it.
-    fn commit(&mut self, program: &Program) {
-        self.shaped_for = Some((program.fingerprint, program.batch));
-    }
-}
-
-/// Reusable allocations for [`ProgramSession::run_batched_with_scratch`]:
-/// the lane-striped StaB pairs of the batched replay backend. Works exactly
-/// like [`ReplayScratch`] but keys the stash on the lane count too — a pair
-/// striped for 4 lanes cannot serve an 8-lane run, so a mismatch drops the
-/// stash and the next run regrows it.
-#[derive(Debug, Default)]
-pub struct BatchedScratch {
-    /// `(fingerprint, batch, lanes)` of the last run through this scratch.
-    shaped_for: Option<(u64, usize, usize)>,
-    /// One parked lane-striped StaB pair per program segment.
-    stabs: Vec<Option<PingPong<i32>>>,
-}
-
-impl BatchedScratch {
-    /// An empty scratch; buffers are grown on first use.
-    pub fn new() -> Self {
-        BatchedScratch::default()
-    }
-
-    /// Re-targets the stash at `(program, lanes)`, dropping buffers from any
-    /// other shape; dirty until [`BatchedScratch::commit`] — a panicking
-    /// replay abandons the stash (see [`ReplayScratch::begin`]).
+    /// Re-targets the stash at `(program, lanes)`, dropping buffers shaped
+    /// for anything else, and marks it dirty until [`ReplayScratch::commit`]:
+    /// if the replay panics mid-run (a supervised serving worker catches
+    /// it), the next `begin` sees the mismatch and drops the half-staged
+    /// stash instead of replaying through it.
     fn begin(&mut self, program: &Program, lanes: usize) {
         let key = (program.fingerprint, program.batch, lanes);
         if self.shaped_for != Some(key) {
@@ -719,7 +686,7 @@ impl ProgramSession {
         weights: &BTreeMap<NodeId, Tensor4<i8>>,
     ) -> Result<GraphRun, ArchError> {
         let p = &*self.program;
-        scratch_bufs.begin(p);
+        scratch_bufs.begin(p, ReplayScratch::SCALAR);
         if iacts.shape() != p.input_shape {
             return Err(ArchError::ShapeMismatch(format!(
                 "graph input shape {:?}, expected {:?}",
@@ -948,7 +915,7 @@ impl ProgramSession {
             }
         }
 
-        scratch_bufs.commit(p);
+        scratch_bufs.commit(p, ReplayScratch::SCALAR);
         Ok(GraphRun {
             oacts: final_acc.ok_or_else(|| broken("no op produced the graph output"))?,
             report: GraphReport {
@@ -980,21 +947,22 @@ impl ProgramSession {
         iacts: &[Tensor4<i8>],
         weights: &BTreeMap<NodeId, Tensor4<i8>>,
     ) -> Result<Vec<GraphRun>, ArchError> {
-        self.run_batched_with_scratch(&mut BatchedScratch::new(), iacts, weights)
+        self.run_batched_with_scratch(&mut ReplayScratch::new(), iacts, weights)
     }
 
     /// [`ProgramSession::run_batched`] reusing `scratch`'s lane-striped StaB
     /// allocations across calls, the batched analogue of
-    /// [`ProgramSession::run_with_scratch`]: a serving executor's steady
-    /// state allocates no buffer memory per batch. Results are bit-identical
-    /// to [`ProgramSession::run_batched`] with a fresh scratch.
+    /// [`ProgramSession::run_with_scratch`] (both take the same
+    /// [`ReplayScratch`]): a serving executor's steady state allocates no
+    /// buffer memory per batch. Results are bit-identical to
+    /// [`ProgramSession::run_batched`] with a fresh scratch.
     ///
     /// # Errors
     /// Returns an error on an empty batch, a sample shape mismatch, or
     /// missing weights.
     pub fn run_batched_with_scratch(
         &self,
-        scratch_bufs: &mut BatchedScratch,
+        scratch_bufs: &mut ReplayScratch,
         iacts: &[Tensor4<i8>],
         weights: &BTreeMap<NodeId, Tensor4<i8>>,
     ) -> Result<Vec<GraphRun>, ArchError> {
@@ -2319,7 +2287,25 @@ mod tests {
         assert_eq!(reused2.oacts, fresh2.oacts);
         assert_eq!(reused2.report, fresh2.report);
 
-        // And back again, still exact.
+        // A lane-batched run of the batch-1 program through the same
+        // scratch: the stash is re-keyed to lane-striped buffers, and every
+        // lane still matches its solo run exactly.
+        let lanes: Vec<Tensor4<i8>> = (0..3u64)
+            .map(|seed| Tensor4::random([1, 4, 6, 6], 65 + seed))
+            .collect();
+        for _ in 0..2 {
+            let runs = replay
+                .run_batched_with_scratch(&mut scratch, &lanes, &weights)
+                .unwrap();
+            for (lane, (run, sample)) in runs.iter().zip(&lanes).enumerate() {
+                let solo = replay.run(sample, &weights).unwrap();
+                assert_eq!(run.oacts, solo.oacts, "lane {lane} outputs diverged");
+                assert_eq!(run.report, solo.report, "lane {lane} report diverged");
+            }
+        }
+
+        // And back to the scalar path: the striped stash never leaks into
+        // it, so the run is still exact.
         let iacts3 = Tensor4::random([1, 4, 6, 6], 70);
         let fresh3 = replay.run(&iacts3, &weights).unwrap();
         let reused3 = replay
@@ -2339,7 +2325,7 @@ mod tests {
             .map(|seed| Tensor4::random([1, 4, 6, 6], 80 + seed))
             .collect();
 
-        let mut scratch = BatchedScratch::new();
+        let mut scratch = ReplayScratch::new();
         for lanes in [1usize, 2, 4] {
             let batch = &samples[..lanes];
             let fresh = replay.run_batched(batch, &weights).unwrap();

@@ -11,9 +11,10 @@
 //! hands the formed batch to a bounded ready queue. **Executor workers**
 //! ([`ServeConfig::workers`] of them) pop ready batches and replay them
 //! concurrently — different models, or different batches of one model, can
-//! be in flight at once. Because batch-`N` execution is bit-identical to
-//! `N` solo runs (the `with_batch` equivalence contract), a tenant can
-//! observe neither coalescing nor which worker ran its request.
+//! be in flight at once. A multi-request batch replays the model's one
+//! batch-1 program across lanes, each lane bit-identical (outputs and full
+//! report) to a solo run of its request, so a tenant can observe neither
+//! batching nor which worker ran its request.
 //!
 //! Admission is bounded **per tenant** ([`ServeConfig::queue_depth`]), so a
 //! flooding tenant exhausts only its own quota. Requests leave the queue
@@ -22,14 +23,17 @@
 //! into [`ServeError::Cancelled`] — both are pruned by the former or at the
 //! executor boundary, never run, and are counted in [`ServerStats`].
 //!
-//! The hot path replays compiled programs: the first request at a given
-//! (model, batch) compiles the planned [`GraphSession`] into a
-//! [`feather::Program`] (consulting the `FEATHER_CACHE_DIR` artifact cache
-//! first), and every later request replays the cached [`ProgramSession`]
-//! with zero planning, hashing or per-layer dispatch work —
-//! [`ProgramCacheStats`] counts exactly that. Each worker additionally
-//! keeps a [`ReplayScratch`] per (model, batch) it has served, so
-//! steady-state replay allocates no buffer memory either.
+//! The hot path replays one compiled program per model: the first batch
+//! compiles the planned batch-1 [`GraphSession`] into a [`feather::Program`]
+//! (consulting the `FEATHER_CACHE_DIR` artifact cache first), and every
+//! later batch replays the cached [`ProgramSession`] with zero planning,
+//! hashing or per-layer dispatch work — [`ProgramCacheStats`] counts exactly
+//! that. A single-request batch takes the scalar replay
+//! ([`ProgramSession::run_with_scratch`]); a batch of `N ≥ 2` requests takes
+//! the lane-vectorized replay ([`ProgramSession::run_batched_with_scratch`])
+//! with request `i` on lane `i`. Each worker keeps a [`ReplayScratch`] per
+//! (model, batch size) it has served, so steady-state replay allocates no
+//! buffer memory either.
 //!
 //! The server is **fault tolerant**. Replays run under `catch_unwind`: a
 //! panicking worker resolves only its own batch (retrying members with
@@ -54,7 +58,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use feather::{
-    ArtifactStatus, BatchedScratch, FeatherConfig, GraphSession, ProgramSession, ReplayScratch,
+    ArtifactStatus, FeatherConfig, GraphRun, GraphSession, ProgramSession, ReplayScratch,
     RouteCacheStats,
 };
 use feather_arch::graph::{Graph, NodeId};
@@ -95,13 +99,6 @@ pub struct ServeConfig {
     /// overlap; raise it only to hide the former's batch-window latency
     /// between executions.
     pub ready_depth: usize,
-    /// Execute multi-request batches through the lane-vectorized batched
-    /// replay backend ([`ProgramSession::run_batched_with_scratch`]) instead
-    /// of one coalesced scalar replay. Responses stay bit-identical; each
-    /// request additionally gets its own lane's exact solo report totals
-    /// instead of an even split of the batch totals. Single-request batches
-    /// always take the scalar path.
-    pub batched_replay: bool,
     /// How many times a failed request (transient executor error, injected
     /// fault, or worker panic) is re-enqueued before resolving as
     /// [`ServeError::Failed`]. Retried responses are bit-identical to what
@@ -135,7 +132,6 @@ impl Default for ServeConfig {
             default_deadline: None,
             workers: 1,
             ready_depth: 1,
-            batched_replay: false,
             max_retries: 2,
             retry_backoff: Duration::from_micros(100),
             breaker_threshold: 8,
@@ -150,8 +146,7 @@ impl ServeConfig {
     /// `FEATHER_SERVE_MAX_BATCH`, `FEATHER_SERVE_QUEUE_DEPTH`,
     /// `FEATHER_SERVE_WINDOW_US` (batch window in microseconds),
     /// `FEATHER_SERVE_WORKERS` (executor pool size),
-    /// `FEATHER_SERVE_BATCHED_REPLAY` (nonzero enables the batched replay
-    /// backend), `FEATHER_SERVE_MAX_RETRIES`,
+    /// `FEATHER_SERVE_MAX_RETRIES`,
     /// `FEATHER_SERVE_RETRY_BACKOFF_US`, `FEATHER_SERVE_BREAKER_THRESHOLD`,
     /// `FEATHER_SERVE_BREAKER_COOLDOWN_MS` and `FEATHER_SERVE_BROWNOUT_PCT`.
     /// Unset or unparsable variables keep their default.
@@ -171,9 +166,6 @@ impl ServeConfig {
         }
         if let Some(n) = read("FEATHER_SERVE_WORKERS") {
             cfg.workers = n.max(1);
-        }
-        if let Some(n) = read("FEATHER_SERVE_BATCHED_REPLAY") {
-            cfg.batched_replay = n != 0;
         }
         if let Some(n) = read("FEATHER_SERVE_MAX_RETRIES") {
             cfg.max_retries = n as u32;
@@ -200,7 +192,7 @@ pub struct Response {
     /// The model's INT32 output accumulators for this request's sample —
     /// bit-identical to a solo (batch-1) run of the same input.
     pub oacts: Tensor4<i32>,
-    /// How many requests shared the executor run that produced this.
+    /// How many requests shared the batch (one replay) that produced this.
     pub batch_size: usize,
     /// Index of the pool worker that executed the batch.
     pub worker: usize,
@@ -208,40 +200,31 @@ pub struct Response {
     pub queue_us: u64,
     /// End-to-end latency (submit → response), in microseconds.
     pub latency_us: u64,
-    /// Modeled accelerator cycles attributed to this request: with the
-    /// scalar backend the batch total divided evenly, with the batched
-    /// replay backend this request's own exact solo-run total.
+    /// This request's own modeled accelerator cycles — exactly the total of
+    /// a solo run of its input, whatever batch it rode in.
     pub cycles: u64,
-    /// Modeled DRAM bytes attributed to this request.
+    /// This request's own modeled DRAM bytes, exact like `cycles`.
     pub dram_bytes: u64,
 }
 
-/// Most compiled programs a model keeps resident at once. With the default
-/// `max_batch` of 8 every batch size fits; a bigger knob evicts in FIFO
-/// (oldest-compiled-first) order.
-const PROGRAM_CACHE_CAPACITY: usize = 16;
-
-/// Most (model, batch) replay scratches one executor worker parks before it
+/// Most (model, batch size) replay scratches one executor worker parks before it
 /// drops them all and regrows — a backstop against unbounded buffer stash
 /// growth when a server cycles through many models and batch sizes.
 const SCRATCH_CAPACITY: usize = 32;
 
-/// One model's resident compiled programs plus the counters that prove the
-/// hot path replays instead of replanning.
+/// One model's lazily compiled program plus the counters that prove the hot
+/// path replays instead of replanning.
 struct ProgramCache {
-    entries: BTreeMap<usize, Arc<ProgramSession>>,
-    /// Batch sizes in compile order — the FIFO eviction queue.
-    order: VecDeque<usize>,
+    program: Option<Arc<ProgramSession>>,
     stats: ProgramCacheStats,
 }
 
-/// A registered model: its weights plus compiled programs per batch size.
+/// A registered model: its weights plus its one compiled program.
 struct Model {
     weights: BTreeMap<NodeId, Tensor4<i8>>,
     input_shape: [usize; 4],
-    /// The planned batch-1 session from registration: the compile source for
-    /// every batched program (they all share its compiled-route cache) and
-    /// the golden interpreted reference.
+    /// The planned batch-1 session from registration: the compile source of
+    /// the model's program and the owner of its compiled-route cache.
     base: Arc<GraphSession>,
     programs: Mutex<ProgramCache>,
     /// Trips after [`ServeConfig::breaker_threshold`] consecutive failed
@@ -250,18 +233,13 @@ struct Model {
 }
 
 impl Model {
-    /// The replay session for `batch`, compiling (through the on-disk
-    /// artifact cache) only on the first request at that batch size.
-    /// `fault` injects load/insert failures on the miss path — with a plan
-    /// active the `artifact_*` counters can undercount `misses` by the
-    /// injected failures.
-    fn program_for(
-        &self,
-        batch: usize,
-        fault: Option<&FaultPlan>,
-    ) -> Result<Arc<ProgramSession>, ServeError> {
+    /// The model's replay session, compiling it (through the on-disk
+    /// artifact cache) only on the first call. `fault` injects load/insert
+    /// failures on the miss path — with a plan active the `artifact_*`
+    /// counters can undercount `misses` by the injected failures.
+    fn program_for(&self, fault: Option<&FaultPlan>) -> Result<Arc<ProgramSession>, ServeError> {
         let mut cache = lock_recover(&self.programs);
-        if let Some(program) = cache.entries.get(&batch).cloned() {
+        if let Some(program) = cache.program.clone() {
             cache.stats.hits += 1;
             return Ok(program);
         }
@@ -272,11 +250,7 @@ impl Model {
         {
             return Err(ServeError::Failed("injected: artifact load failure".into()));
         }
-        let (program, status) = if batch == self.base.batch() {
-            self.base.compile_cached()?
-        } else {
-            self.base.with_batch(batch)?.compile_cached()?
-        };
+        let (program, status) = self.base.compile_cached()?;
         match status {
             ArtifactStatus::Hit => cache.stats.artifact_hits += 1,
             ArtifactStatus::Miss | ArtifactStatus::Disabled => cache.stats.artifact_misses += 1,
@@ -289,14 +263,7 @@ impl Model {
             return Err(ServeError::Failed("injected: cache insert failure".into()));
         }
         let session = Arc::new(ProgramSession::new(program));
-        cache.entries.insert(batch, session.clone());
-        cache.order.push_back(batch);
-        while cache.entries.len() > PROGRAM_CACHE_CAPACITY {
-            let oldest = cache.order.pop_front().expect("order tracks entries");
-            cache.entries.remove(&oldest);
-            cache.stats.evictions += 1;
-        }
-        cache.stats.resident = cache.entries.len();
+        cache.program = Some(session.clone());
         Ok(session)
     }
 
@@ -520,10 +487,10 @@ impl Server {
         }
     }
 
-    /// Registers a model under `name`: compiles a batch-1 [`GraphSession`]
-    /// for `graph` on `accelerator` and keeps `weights` resident. The graph
-    /// must be authored at batch 1 (requests are single-sample; the
-    /// scheduler batches them).
+    /// Registers a model under `name`: plans a batch-1 [`GraphSession`] for
+    /// `graph` on `accelerator` and keeps `weights` resident. The graph must
+    /// be authored at batch 1 (requests are single-sample; the scheduler
+    /// batches them into lanes of one batch-1 replay).
     ///
     /// # Errors
     /// [`ServeError::BadInput`] if the graph's batch extent is not 1, or a
@@ -540,7 +507,7 @@ impl Server {
         if input_shape[0] != 1 {
             return Err(ServeError::BadInput(format!(
                 "model `{name}` is authored at batch {} — register batch-1 graphs and let \
-                 the scheduler coalesce requests",
+                 the scheduler batch requests",
                 input_shape[0]
             )));
         }
@@ -550,8 +517,7 @@ impl Server {
             input_shape,
             base,
             programs: Mutex::new(ProgramCache {
-                entries: BTreeMap::new(),
-                order: VecDeque::new(),
+                program: None,
                 stats: ProgramCacheStats::default(),
             }),
             breaker: CircuitBreaker::new(
@@ -715,18 +681,17 @@ impl Server {
         stats
     }
 
-    /// Counters of a registered model's shared compiled-route cache (all
-    /// batch variants of the model share one cache).
+    /// Counters of a registered model's compiled-route cache.
     pub fn route_cache_stats(&self, model: &str) -> Option<RouteCacheStats> {
         read_recover(&self.inner.models)
             .get(model)
             .map(|m| m.base.route_cache_stats())
     }
 
-    /// Counters of a registered model's compiled-program caches: in-memory
-    /// replay hits/misses/evictions plus on-disk artifact hits/misses. A
-    /// warm server shows only `hits` moving — second-and-later requests at a
-    /// (model, batch) do zero planning or compile work.
+    /// Counters of a registered model's compiled-program cache: in-memory
+    /// replay hits/misses plus on-disk artifact hits/misses. A warm server
+    /// shows only `hits` moving — every batch after the first does zero
+    /// planning or compile work.
     pub fn program_cache_stats(&self, model: &str) -> Option<ProgramCacheStats> {
         read_recover(&self.inner.models)
             .get(model)
@@ -1272,9 +1237,8 @@ fn wait_slot_supervised<F: FnMut(&mut ReadyState)>(inner: &Arc<Inner>, mut then:
 
 /// One executor worker: pop ready batches and replay them until the former
 /// closes the queue and it runs dry. The worker keeps a [`ReplayScratch`]
-/// (and, with the batched backend on, a [`BatchedScratch`]) per
-/// (model, batch) it serves, so its steady state allocates no buffer
-/// memory.
+/// per (model, batch size) it serves, so its steady state allocates no
+/// buffer memory.
 fn run_worker(inner: &Arc<Inner>, worker: usize) {
     let mut sentinel = WorkerSentinel {
         inner: inner.clone(),
@@ -1282,7 +1246,6 @@ fn run_worker(inner: &Arc<Inner>, worker: usize) {
         armed: true,
     };
     let mut scratches: BTreeMap<(String, usize), ReplayScratch> = BTreeMap::new();
-    let mut batched_scratches: BTreeMap<(String, usize), BatchedScratch> = BTreeMap::new();
     loop {
         let batch = {
             let mut ready = lock_recover(&inner.ready);
@@ -1327,7 +1290,7 @@ fn run_worker(inner: &Arc<Inner>, worker: usize) {
             }
             continue;
         }
-        match execute_batch(inner, worker, batch, &mut scratches, &mut batched_scratches) {
+        match execute_batch(inner, worker, batch, &mut scratches) {
             BatchOutcome::Done => {}
             BatchOutcome::WorkerDied => {
                 // The replay panicked (caught, batch resolved). Retire this
@@ -1359,7 +1322,6 @@ fn execute_batch(
     worker: usize,
     batch: ReadyBatch,
     scratches: &mut BTreeMap<(String, usize), ReplayScratch>,
-    batched_scratches: &mut BTreeMap<(String, usize), BatchedScratch>,
 ) -> BatchOutcome {
     let launched = Instant::now();
     let mut live = Vec::with_capacity(batch.requests.len());
@@ -1406,9 +1368,7 @@ fn execute_batch(
         retry_or_fail(inner, worker, live, reason);
     };
 
-    let use_batched = inner.cfg.batched_replay && size > 1;
-    let program = match model.program_for(if use_batched { 1 } else { size }, inner.fault.as_ref())
-    {
+    let program = match model.program_for(inner.fault.as_ref()) {
         Ok(program) => program,
         Err(err) => {
             strike(&err.to_string(), live);
@@ -1419,10 +1379,14 @@ fn execute_batch(
     let executing = inner.executing.fetch_add(1, Ordering::SeqCst) + 1;
     inner.max_executing.fetch_max(executing, Ordering::SeqCst);
     let key = (batch.model.clone(), size);
-    // Per-request `(oacts, cycles, dram_bytes)` from either backend, under
-    // a supervision boundary: an injected (or real) panic inside the replay
-    // must fail only this batch, not the server.
-    let per_request = catch_unwind(AssertUnwindSafe(|| {
+    if !scratches.contains_key(&key) && scratches.len() >= SCRATCH_CAPACITY {
+        scratches.clear();
+    }
+    let scratch = scratches.entry(key).or_default();
+    // One `GraphRun` per request, under a supervision boundary: an injected
+    // (or real) panic inside the replay must fail only this batch, not the
+    // server.
+    let runs = catch_unwind(AssertUnwindSafe(|| -> Result<Vec<GraphRun>, ServeError> {
         if let Some(action) = roll_fault(inner, FaultSite::ReplayEntry) {
             match action {
                 FaultAction::Panic => panic!("injected fault: replay entry"),
@@ -1431,58 +1395,18 @@ fn execute_batch(
                 }
             }
         }
-        if use_batched {
-            // Lane-vectorize: request `i` rides lane `i` of one batch-1
-            // replay and gets back its own exact solo outputs and report
-            // totals.
-            let inputs: Vec<Tensor4<i8>> = live.iter().map(|r| r.iacts.clone()).collect();
-            if !batched_scratches.contains_key(&key) && batched_scratches.len() >= SCRATCH_CAPACITY
-            {
-                batched_scratches.clear();
-            }
-            let scratch = batched_scratches.entry(key.clone()).or_default();
+        let runs = if let [request] = live.as_slice() {
+            // One request: the scalar replay is the faster single lane.
             program
-                .run_batched_with_scratch(scratch, &inputs, &model.weights)
-                .map(|runs| {
-                    runs.into_iter()
-                        .map(|run| {
-                            let cycles = run.report.total_cycles();
-                            let dram_bytes = run.report.dram_bytes();
-                            (run.oacts, cycles, dram_bytes)
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .map_err(ServeError::Exec)
+                .run_with_scratch(scratch, &request.iacts, &model.weights)
+                .map(|run| vec![run])
         } else {
-            // Coalesce: sample `i` of the batched input is request `i`'s
-            // sample 0.
-            let [_, c, h, w] = model.input_shape;
-            let iacts = Tensor4::from_fn([size, c, h, w], |n, cc, hh, ww| {
-                live[n].iacts.get(0, cc, hh, ww)
-            });
-            if !scratches.contains_key(&key) && scratches.len() >= SCRATCH_CAPACITY {
-                scratches.clear();
-            }
-            let scratch = scratches.entry(key.clone()).or_default();
-            program
-                .run_with_scratch(scratch, &iacts, &model.weights)
-                .map(|run| {
-                    // Split: each request gets its own sample, bit-identical
-                    // to a solo run, and an even share of the batch totals.
-                    let cycles = run.report.total_cycles();
-                    let dram_bytes = run.report.dram_bytes();
-                    let [_, m, p, q] = run.oacts.shape();
-                    (0..size)
-                        .map(|i| {
-                            let oacts = Tensor4::from_fn([1, m, p, q], |_, mm, pp, qq| {
-                                run.oacts.get(i, mm, pp, qq)
-                            });
-                            (oacts, cycles / size as u64, dram_bytes / size as u64)
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .map_err(ServeError::Exec)
-        }
+            // Request `i` rides lane `i` of one batch-1 replay and gets back
+            // its own exact solo outputs and report.
+            let inputs: Vec<Tensor4<i8>> = live.iter().map(|r| r.iacts.clone()).collect();
+            program.run_batched_with_scratch(scratch, &inputs, &model.weights)
+        };
+        runs.map_err(ServeError::Exec)
     }));
     inner.executing.fetch_sub(1, Ordering::SeqCst);
     // Feed the admission-side service-rate estimate (quarter-weight EWMA).
@@ -1495,8 +1419,8 @@ fn execute_batch(
     };
     inner.batch_ewma_us.store(ewma, Ordering::Relaxed);
 
-    let per_request = match per_request {
-        Ok(Ok(per_request)) => per_request,
+    let runs = match runs {
+        Ok(Ok(runs)) => runs,
         Ok(Err(err)) => {
             strike(&err.to_string(), live);
             return BatchOutcome::Done;
@@ -1512,19 +1436,16 @@ fn execute_batch(
     let mut stats = lock_recover(&inner.worker_stats[worker]);
     *stats.batches.entry(size).or_insert(0) += 1;
     *stats.worker_batches.entry(worker).or_insert(0) += 1;
-    if use_batched {
-        stats.batched_replays += 1;
-    }
-    for (request, (oacts, cycles, dram_bytes)) in live.into_iter().zip(per_request) {
+    for (request, run) in live.into_iter().zip(runs) {
         let latency_us = request.enqueued.elapsed().as_micros() as u64;
         let response = Response {
-            oacts,
+            cycles: run.report.total_cycles(),
+            dram_bytes: run.report.dram_bytes(),
+            oacts: run.oacts,
             batch_size: size,
             worker,
             queue_us: launched.duration_since(request.enqueued).as_micros() as u64,
             latency_us,
-            cycles,
-            dram_bytes,
         };
         let tenant = stats.tenants.entry(request.tenant.clone()).or_default();
         tenant.completed += 1;
@@ -1568,43 +1489,58 @@ mod tests {
         let g = tiny_graph("m");
         let weights = g.random_weights(3);
         let solo = GraphSession::auto(config(), &g).unwrap();
-        let inputs: Vec<Tensor4<i8>> = (0..4)
-            .map(|i| Tensor4::random([1, 2, 4, 4], 40 + i))
-            .collect();
-        let goldens: Vec<Tensor4<i32>> = inputs
-            .iter()
-            .map(|iacts| solo.run(iacts, &weights).unwrap().oacts)
-            .collect();
+        let tenants = ["alice", "bob"];
+        for burst in 1..=4usize {
+            let inputs: Vec<Tensor4<i8>> = (0..burst)
+                .map(|i| Tensor4::random([1, 2, 4, 4], 40 + 10 * burst as u64 + i as u64))
+                .collect();
+            let goldens: Vec<GraphRun> = inputs
+                .iter()
+                .map(|iacts| solo.run(iacts, &weights).unwrap())
+                .collect();
 
-        let server = Server::new(ServeConfig {
-            max_batch: 4,
-            batch_window: Duration::from_secs(2),
-            ..ServeConfig::default()
-        });
-        server.register_model("m", config(), &g, weights).unwrap();
-        // All four land inside the window, so the former coalesces them
-        // into one batch-4 run the moment the fourth arrives.
-        let tickets: Vec<Ticket> = inputs
-            .iter()
-            .enumerate()
-            .map(|(i, iacts)| {
-                server
-                    .submit(if i % 2 == 0 { "alice" } else { "bob" }, "m", iacts.clone())
-                    .unwrap()
-            })
-            .collect();
-        for (ticket, golden) in tickets.into_iter().zip(&goldens) {
-            let response = ticket.wait().unwrap();
-            assert_eq!(&response.oacts, golden);
-            assert_eq!(response.batch_size, 4);
+            // A window far longer than the burst takes to submit: the former
+            // launches the whole burst as one batch the moment its last
+            // request arrives.
+            let server = Server::new(ServeConfig {
+                max_batch: burst,
+                batch_window: Duration::from_secs(2),
+                ..ServeConfig::default()
+            });
+            server
+                .register_model("m", config(), &g, weights.clone())
+                .unwrap();
+            let tickets: Vec<Ticket> = inputs
+                .iter()
+                .enumerate()
+                .map(|(i, iacts)| server.submit(tenants[i % 2], "m", iacts.clone()).unwrap())
+                .collect();
+            let mut expected: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+            for (i, (ticket, golden)) in tickets.into_iter().zip(&goldens).enumerate() {
+                let response = ticket.wait().unwrap();
+                assert_eq!(response.oacts, golden.oacts, "burst {burst} request {i}");
+                assert_eq!(response.batch_size, burst);
+                // Each request carries its own exact solo totals, never a
+                // share of the batch's.
+                let cycles = golden.report.total_cycles();
+                let dram_bytes = golden.report.dram_bytes();
+                assert_eq!(response.cycles, cycles, "burst {burst} request {i}");
+                assert_eq!(response.dram_bytes, dram_bytes, "burst {burst} request {i}");
+                let total = expected.entry(tenants[i % 2]).or_default();
+                total.0 += cycles;
+                total.1 += dram_bytes;
+            }
+            let stats = server.stats();
+            assert_eq!(stats.completed, burst as u64);
+            assert_eq!(stats.batches, BTreeMap::from([(burst, 1)]));
+            for (tenant, (cycles, dram_bytes)) in expected {
+                assert_eq!(stats.tenants[tenant].cycles, cycles, "{tenant} cycles");
+                assert_eq!(
+                    stats.tenants[tenant].dram_bytes, dram_bytes,
+                    "{tenant} DRAM"
+                );
+            }
         }
-        let stats = server.stats();
-        assert_eq!(stats.completed, 4);
-        assert_eq!(stats.batches.get(&4), Some(&1));
-        assert_eq!(stats.tenants["alice"].completed, 2);
-        assert_eq!(stats.tenants["bob"].completed, 2);
-        assert!(stats.tenants["alice"].cycles > 0);
-        assert!(stats.tenants["alice"].dram_bytes > 0);
     }
 
     #[test]
@@ -1612,38 +1548,42 @@ mod tests {
         let g = tiny_graph("m");
         let weights = g.random_weights(9);
         let solo = GraphSession::auto(config(), &g).unwrap();
-        let inputs: Vec<Tensor4<i8>> = (0..4)
-            .map(|i| Tensor4::random([1, 2, 4, 4], 90 + i))
-            .collect();
-        let goldens: Vec<_> = inputs
-            .iter()
-            .map(|iacts| solo.run(iacts, &weights).unwrap())
-            .collect();
-
         let server = Server::new(ServeConfig {
             max_batch: 4,
             batch_window: Duration::from_secs(2),
-            batched_replay: true,
             ..ServeConfig::default()
         });
-        server.register_model("m", config(), &g, weights).unwrap();
-        let tickets: Vec<Ticket> = inputs
-            .iter()
-            .map(|iacts| server.submit("t", "m", iacts.clone()).unwrap())
-            .collect();
-        for (ticket, golden) in tickets.into_iter().zip(&goldens) {
-            let response = ticket.wait().unwrap();
-            assert_eq!(response.oacts, golden.oacts);
-            assert_eq!(response.batch_size, 4);
-            // Each request carries its own exact solo totals, not an even
-            // split of a batch-4 report.
-            assert_eq!(response.cycles, golden.report.total_cycles());
-            assert_eq!(response.dram_bytes, golden.report.dram_bytes());
+        server
+            .register_model("m", config(), &g, weights.clone())
+            .unwrap();
+        // Two full batches: both lane-replay the model's one batch-1
+        // program, so it compiles on the first and is a hit on the second.
+        for round in 0..2u64 {
+            let inputs: Vec<Tensor4<i8>> = (0..4)
+                .map(|i| Tensor4::random([1, 2, 4, 4], 90 + 4 * round + i))
+                .collect();
+            let goldens: Vec<GraphRun> = inputs
+                .iter()
+                .map(|iacts| solo.run(iacts, &weights).unwrap())
+                .collect();
+            let tickets: Vec<Ticket> = inputs
+                .iter()
+                .map(|iacts| server.submit("t", "m", iacts.clone()).unwrap())
+                .collect();
+            for (ticket, golden) in tickets.into_iter().zip(&goldens) {
+                let response = ticket.wait().unwrap();
+                assert_eq!(response.oacts, golden.oacts);
+                assert_eq!(response.batch_size, 4);
+                assert_eq!(response.cycles, golden.report.total_cycles());
+                assert_eq!(response.dram_bytes, golden.report.dram_bytes());
+            }
         }
         let stats = server.stats();
-        assert_eq!(stats.completed, 4);
-        assert_eq!(stats.batches.get(&4), Some(&1));
-        assert_eq!(stats.batched_replays, 1);
+        assert_eq!(stats.completed, 8);
+        assert_eq!(stats.batches, BTreeMap::from([(4, 2)]));
+        let cache = server.program_cache_stats("m").unwrap();
+        assert_eq!(cache.misses, 1, "one batch-1 program serves every batch");
+        assert_eq!(cache.hits, 1);
     }
 
     #[test]
@@ -1668,9 +1608,7 @@ mod tests {
         // One compile on the first batch-1 request, replays ever after.
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 2);
-        assert_eq!(stats.evictions, 0);
         assert_eq!(stats.artifact_hits + stats.artifact_misses, 1);
-        assert_eq!(stats.resident, 1);
         assert!(server.program_cache_stats("nope").is_none());
     }
 
@@ -1970,7 +1908,7 @@ mod tests {
     }
 
     #[test]
-    fn program_cache_counters_are_exact_under_contention() {
+    fn program_compiles_once_under_contention() {
         let g = tiny_graph("m");
         let server = Server::new(ServeConfig::default());
         server
@@ -1981,43 +1919,32 @@ mod tests {
             models.get("m").cloned().unwrap()
         };
 
-        // More batch sizes than the cache holds, hammered from four
-        // threads in opposing orders to force eviction/recompile churn.
+        // Four threads race for the model's program from a cold cache.
         const THREADS: usize = 4;
-        const SIZES: usize = PROGRAM_CACHE_CAPACITY + 2;
-        const ROUNDS: usize = 2;
-        std::thread::scope(|scope| {
-            for t in 0..THREADS {
-                let model = model.clone();
-                scope.spawn(move || {
-                    for round in 0..ROUNDS {
-                        for i in 1..=SIZES {
-                            let batch = if (t + round) % 2 == 0 {
-                                i
-                            } else {
-                                SIZES + 1 - i
-                            };
-                            model.program_for(batch, None).unwrap();
+        const CALLS: usize = 32;
+        let programs: Vec<Arc<ProgramSession>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    let model = model.clone();
+                    scope.spawn(move || {
+                        let mut program = model.program_for(None).unwrap();
+                        for _ in 1..CALLS {
+                            program = model.program_for(None).unwrap();
                         }
-                    }
-                });
-            }
+                        program
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
 
         let stats = model.program_cache_stats();
-        let calls = (THREADS * ROUNDS * SIZES) as u64;
-        // No lost updates: every call is exactly a hit or a miss, every
-        // miss is exactly one compile attempt (artifact hit or miss), and
-        // the resident set is exactly inserts minus evictions, within the
-        // capacity bound.
-        assert_eq!(stats.hits + stats.misses, calls);
-        assert!(
-            stats.misses >= SIZES as u64,
-            "each size compiles at least once"
-        );
+        // Exactly one compile, every other call a hit on that one program,
+        // and no lost counter updates.
+        assert_eq!(stats.misses, 1, "the model compiles exactly once");
+        assert_eq!(stats.hits + stats.misses, (THREADS * CALLS) as u64);
         assert_eq!(stats.artifact_hits + stats.artifact_misses, stats.misses);
-        assert_eq!(stats.resident as u64, stats.misses - stats.evictions);
-        assert!(stats.resident <= PROGRAM_CACHE_CAPACITY);
+        assert!(programs.iter().all(|p| Arc::ptr_eq(p, &programs[0])));
     }
 
     #[test]
@@ -2054,7 +1981,6 @@ mod tests {
         assert_eq!(cfg.default_deadline, None);
         assert_eq!(cfg.workers, 1);
         assert_eq!(cfg.ready_depth, 1);
-        assert!(!cfg.batched_replay);
         assert_eq!(cfg.max_retries, 2);
         assert!(cfg.retry_backoff > Duration::ZERO);
         assert_eq!(cfg.breaker_threshold, 8);

@@ -545,7 +545,7 @@ fn weighted_fair_scheduling_bounds_light_tenant_service_delay() {
 /// One chaos round: concurrent mixed-model traffic under a seeded fault
 /// plan. Returns nothing — panics (in a client or via a conservation
 /// violation) are the failure mode.
-fn chaos_round(seed: u64, workers: usize, batched: bool) {
+fn chaos_round(seed: u64, workers: usize) {
     let fixtures: Arc<Vec<ModelFixture>> = Arc::new(vec![
         fixture("residual", residual_model(), 7),
         fixture("chain", chain_model(), 11),
@@ -564,7 +564,6 @@ fn chaos_round(seed: u64, workers: usize, batched: bool) {
             queue_depth: 64,
             batch_window: Duration::from_micros(300),
             workers,
-            batched_replay: batched,
             max_retries: 2,
             retry_backoff: Duration::from_micros(50),
             breaker_threshold: 4,
@@ -626,8 +625,7 @@ fn chaos_round(seed: u64, workers: usize, batched: bool) {
     assert_eq!(
         stats.submitted,
         stats.accounted(),
-        "conservation violated under seed {seed} ({workers} workers, batched={batched}): \
-         {stats:?}"
+        "conservation violated under seed {seed} ({workers} workers): {stats:?}"
     );
     assert_eq!(stats.timed_out, 0, "no request carried a deadline");
     assert_eq!(stats.cancelled, 0, "no request was cancelled");
@@ -644,16 +642,15 @@ fn chaos_round(seed: u64, workers: usize, batched: bool) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random fault-plan seeds across pool sizes and both replay backends.
+    /// Random fault-plan seeds across pool sizes.
     /// Deterministic per case (the vendored proptest derives its stream from
     /// the test name), so a failing seed reproduces exactly.
     #[test]
     fn chaos_random_fault_plans_conserve_requests(
         seed in 0u64..1_000_000,
         worker_sel in 0usize..3,
-        batched_sel in 0u8..2,
     ) {
-        chaos_round(seed, [1usize, 2, 4][worker_sel], batched_sel == 1);
+        chaos_round(seed, [1usize, 2, 4][worker_sel]);
     }
 }
 
