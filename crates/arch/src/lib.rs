@@ -8,16 +8,15 @@
 //!
 //! Every other crate in the workspace builds on these types:
 //!
-//! * [`workload`] — [`ConvLayer`](workload::ConvLayer), [`GemmLayer`](workload::GemmLayer)
-//!   and the [`Workload`](workload::Workload) enum with derived quantities
-//!   (output dims, MAC counts, tensor footprints).
-//! * [`dataflow`] — [`Dataflow`](dataflow::Dataflow): per-dimension spatial /
-//!   temporal tiling, loop order and the virtual PE-array shape.
-//! * [`layout`] — [`Layout`](layout::Layout): inter-line dimension order plus
+//! * [`workload`] — [`ConvLayer`], [`GemmLayer`] and the [`Workload`] enum
+//!   with derived quantities (output dims, MAC counts, tensor footprints).
+//! * [`dataflow`] — [`Dataflow`]: per-dimension spatial / temporal tiling,
+//!   loop order and the virtual PE-array shape.
+//! * [`layout`] — [`Layout`]: inter-line dimension order plus
 //!   intra-line `(dim, size)` interleaving, with parsing/printing of the
 //!   paper's textual notation and coordinate → (line, offset) mapping.
 //! * [`models`] — layer-by-layer definitions of the evaluation workloads.
-//! * [`graph`] — the tensor-DAG IR ([`Graph`](graph::Graph)) with explicit
+//! * [`graph`] — the tensor-DAG IR ([`Graph`]) with explicit
 //!   producer→consumer edges, residual joins, and the real ResNet-50 topology
 //!   ([`graph::resnet50_graph`]).
 //! * [`energy`] — per-action energy constants used by the cost models.

@@ -32,7 +32,7 @@
 //! Since PR 9 the wall-time scenarios include the lane-vectorized batched
 //! replay backend (`graph_resnet/program_replay_batched8`): the scaled
 //! ResNet-50 program replayed over 8 distinct samples in one pass,
-//! equality-asserted lane-by-lane against scalar replays before timing.
+//! equality-asserted lane-by-lane against one-lane replays before timing.
 //!
 //! Since PR 10 a **degraded-mode** pair runs the closed loop clean and then
 //! under a fixed seeded `FaultPlan` (replay failures, worker panics, pickup
@@ -166,11 +166,11 @@ fn graph_resnet(iters: usize) -> (Snapshot, Snapshot, Snapshot) {
 
     // Batched lane-vectorized replay: the same program executed once across
     // `REPLAY_LANES` distinct samples, each op dispatched a single time over
-    // all lane stripes. Checked here against per-sample scalar replays — the
+    // all lane stripes. Checked here against per-sample one-lane replays — the
     // backend's contract is bit-identical outputs AND reports per lane — so
     // the snapshot's speedup number is backed by an equality proof, not
     // trust. Cycles/DRAM below are totals across the batch (each lane's
-    // modeled counters equal the scalar replay's; the schedule is
+    // modeled counters equal the one-lane replay's; the schedule is
     // data-independent).
     let samples: Vec<Tensor4<i8>> = (0..REPLAY_LANES)
         .map(|i| Tensor4::random([1, ch, h, w], 7 + i as u64))
@@ -789,7 +789,7 @@ fn main() {
     }
     println!("interpreted → replay speedup: {replay_speedup:.2}x");
     println!(
-        "scalar replay → batched replay per-sample speedup at batch-{REPLAY_LANES}: \
+        "one-lane replay → batched replay per-sample speedup at batch-{REPLAY_LANES}: \
          {batched_speedup:.2}x ({batched_per_sample_ms:.3} ms/sample)"
     );
     println!(

@@ -202,7 +202,7 @@ impl CompiledRoute {
     /// # Errors
     /// Returns [`EvalError::WidthMismatch`] if `present`/`out_present` are not
     /// width-sized or the stripe slices are not `width * lanes` long.
-    #[inline]
+    #[inline(always)]
     pub fn run_batched(
         &self,
         inputs: &[i64],

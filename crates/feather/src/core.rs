@@ -19,6 +19,12 @@
 //!   merged at join; per-tile timing is reduced *after* the join from the
 //!   summed fire counts, so the parallel run is bit-identical to the serial
 //!   one — outputs, statistics and cycle counts alike.
+//! * **One loop for every batch size** — data lives in lane-striped buffers
+//!   (one sample per lane) and every op runs once across all lanes, with
+//!   accounting that describes a single sample. The lane count is a const
+//!   generic: `run_conv_core` picks a one-lane instantiation for the
+//!   interpreter, the compile pass and single-sample replay, in which every
+//!   per-lane loop folds away.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::ops::Range;
@@ -49,8 +55,9 @@ pub(crate) struct CoreRun {
     pub macs: u64,
 }
 
-/// Hit/miss/eviction counters and the current size of a [`RouteCache`] —
-/// what a long-running serving process watches to size the cache.
+/// Hit/miss/eviction counters and the current size of a session's
+/// compiled-route cache — what a long-running serving process watches to
+/// size the cache.
 ///
 /// The counters reflect *shared-map* traffic: steady-state lookups are
 /// absorbed by the lock-free worker-local L1 maps (which live for one layer
@@ -585,20 +592,43 @@ struct SpanAccum {
     macs: u64,
 }
 
-/// The inner tile loop shared by the single-layer entry point and the
-/// network-level pipeline executor: weight-stationary tiling over `(M, C)`,
-/// Phase-1 local temporal reduction in NEST, Phase-2 row fires through BIRRD
-/// with Reorder-in-Reduction into the output view.
+/// Lane-count parameter of the core's any-lane instantiation: the count is
+/// read from the views' buffers at run time. Any other value pins the count
+/// at compile time; the core instantiates `1` for the single-lane case.
+const ANY_LANES: usize = 0;
+
+/// The lane count a `L`-instantiated loop runs at: `L` itself, or the
+/// view's own count for [`ANY_LANES`].
+#[inline(always)]
+fn lane_count<const L: usize>(view: &LayoutView<'_, i32>) -> usize {
+    if L == ANY_LANES {
+        view.lanes()
+    } else {
+        L
+    }
+}
+
+/// The inner tile loop shared by the single-layer entry point, the
+/// network-level pipeline executor, the compile pass and program replay:
+/// weight-stationary tiling over `(M, C)`, Phase-1 local temporal reduction
+/// in NEST, Phase-2 row fires through BIRRD with Reorder-in-Reduction into
+/// the output view.
 ///
 /// `iact` is the active StaB half (the layer's inputs, already staged in
 /// `mapping.iact_layout`); `oact` is the shadow half the reduced outputs land
-/// in, addressed by `mapping.oact_layout`. `routes` selects how reduce-reorder
-/// programs are resolved (cached lookup, cached + record, or replay of a
-/// recorded stream). `expose_first_weight_load` charges the cold weight load
-/// of the first tile; a pipelined layer whose weights were prefetched during
-/// the previous layer passes `false`. `threads` requests an exact worker
-/// count (`Some(1)` forces serial); `None` auto-sizes from
-/// [`default_threads`] for layers with enough work.
+/// in, addressed by `mapping.oact_layout`. Both views carry the same number
+/// of lanes ([`LayoutView::lanes`]), one batch sample per lane: the layer
+/// runs once across all of them and every returned counter — like the
+/// buffers' access statistics — describes a single sample, because the
+/// schedule, the routes and the access pattern never depend on the data.
+///
+/// `routes` selects how reduce-reorder programs are resolved (cached lookup,
+/// cached + record, or replay of a recorded stream).
+/// `expose_first_weight_load` charges the cold weight load of the first
+/// tile; a pipelined layer whose weights were prefetched during the previous
+/// layer passes `false`. `threads` requests an exact worker count (`Some(1)`
+/// forces serial); `None` auto-sizes from [`default_threads`] for layers
+/// with enough work.
 pub(crate) fn run_conv_core(
     ctx: &LayerExec,
     weights: &Tensor4<i8>,
@@ -608,41 +638,19 @@ pub(crate) fn run_conv_core(
     expose_first_weight_load: bool,
     threads: Option<usize>,
 ) -> Result<CoreRun, ArchError> {
-    let units_total = ctx.units();
-    let workers = effective_workers(threads, &ctx.layer, units_total);
-
-    let spans = match routes {
-        RouteExecution::Collect(cache, recorder) => {
-            let mut span_routes = SpanRoutes::Collect {
-                cache,
-                local: LocalRoutes::new(),
-                recorder,
-            };
-            vec![run_span(
-                ctx,
-                weights,
-                0..units_total,
-                iact,
-                oact,
-                &mut span_routes,
-            )?]
-        }
-        RouteExecution::Cached(cache) => run_worker_spans(
-            ctx,
-            weights,
-            workers,
-            iact,
-            oact,
-            WorkerRoutes::Cached(cache),
-        )?,
-        RouteExecution::Replay(stream) => run_worker_spans(
-            ctx,
-            weights,
-            workers,
-            iact,
-            oact,
-            WorkerRoutes::Replay(stream),
-        )?,
+    assert_eq!(
+        iact.lanes(),
+        oact.lanes(),
+        "iAct and oAct views must carry the same lanes"
+    );
+    let workers = effective_workers(threads, &ctx.layer, ctx.units());
+    // The one place the lane count picks an instantiation: the single lane
+    // (interpreter, compile pass, one-sample replay) gets its own, in which
+    // every per-lane loop folds to straight-line code.
+    let spans = if iact.lanes() == 1 {
+        run_worker_spans::<1>(ctx, weights, workers, iact, oact, routes)?
+    } else {
+        run_worker_spans::<ANY_LANES>(ctx, weights, workers, iact, oact, routes)?
     };
 
     // Reduce: sum the fire counts per tile across workers, then charge each
@@ -706,31 +714,54 @@ fn reference_macs(layer: &ConvLayer) -> u64 {
 }
 
 /// Dispatches the full unit range serially or sharded, per `workers`.
-fn run_worker_spans(
+/// Recording a route stream is inherently serial, so `Collect` always runs
+/// one span.
+fn run_worker_spans<const L: usize>(
     ctx: &LayerExec,
     weights: &Tensor4<i8>,
     workers: usize,
     iact: &mut LayoutView<'_, i32>,
     oact: &mut LayoutView<'_, i32>,
-    routes: WorkerRoutes<'_>,
+    routes: RouteExecution<'_>,
 ) -> Result<Vec<SpanAccum>, ArchError> {
     let units_total = ctx.units();
+    let shared = match routes {
+        RouteExecution::Collect(cache, recorder) => {
+            let mut span_routes = SpanRoutes::Collect {
+                cache,
+                local: LocalRoutes::new(),
+                recorder,
+            };
+            return Ok(vec![run_span::<L>(
+                ctx,
+                weights,
+                0..units_total,
+                iact,
+                oact,
+                &mut span_routes,
+            )?]);
+        }
+        RouteExecution::Cached(cache) => WorkerRoutes::Cached(cache),
+        RouteExecution::Replay(stream) => WorkerRoutes::Replay(stream),
+    };
     if workers <= 1 {
-        return Ok(vec![run_span(
+        return Ok(vec![run_span::<L>(
             ctx,
             weights,
             0..units_total,
             iact,
             oact,
-            &mut routes.span_routes(),
+            &mut shared.span_routes(),
         )?]);
     }
-    run_sharded(ctx, weights, workers, iact, oact, routes)
+    run_sharded::<L>(ctx, weights, workers, iact, oact, shared)
 }
 
 /// Runs the span `0..units` split across `workers` scoped threads, each on
 /// forked buffers, and absorbs data + statistics back into the real views.
-fn run_sharded(
+/// The forks inherit the views' lane striping, so the absorb merges every
+/// lane's data and one sample's statistics.
+fn run_sharded<const L: usize>(
     ctx: &LayerExec,
     weights: &Tensor4<i8>,
     workers: usize,
@@ -763,7 +794,7 @@ fn run_sharded(
                     let accum = {
                         let mut iview = LayoutView::new(&mut ibuf, &ctx.mapping.iact_layout, idims);
                         let mut oview = LayoutView::new(&mut obuf, &ctx.mapping.oact_layout, odims);
-                        run_span(
+                        run_span::<L>(
                             ctx,
                             weights,
                             units,
@@ -793,9 +824,14 @@ fn run_sharded(
 }
 
 /// Simulates the contiguous unit range `units` (units flatten the
-/// `(wt_m, n)` loop, `n` innermost). This is the whole hot loop; everything
-/// it allocates lives for the span.
-fn run_span(
+/// `(wt_m, n)` loop, `n` innermost) across every lane of the views. This is
+/// the whole hot loop; everything it allocates lives for the span.
+///
+/// Data moves in lane stripes: the fire bus and the BIRRD inputs and outputs
+/// hold `cols * lanes` values column-major, plus a `cols`-wide presence mask
+/// that every lane shares, and buffer traffic goes through the stripe
+/// accessors, which account one sample's access.
+fn run_span<const L: usize>(
     ctx: &LayerExec,
     weights: &Tensor4<i8>,
     units: Range<usize>,
@@ -805,7 +841,8 @@ fn run_span(
 ) -> Result<SpanAccum, ArchError> {
     let cols = ctx.cols;
     let layer = &ctx.layer;
-    let mut nest = NestArray::new(ctx.rows, cols);
+    let lanes = lane_count::<L>(iact);
+    let mut nest = NestArray::with_lanes(ctx.rows, cols, lanes);
     let mut accum = SpanAccum {
         tile_fires: vec![0; ctx.m_tiles * ctx.c_tiles],
         extra_cycles: 0,
@@ -823,9 +860,12 @@ fn run_span(
     // indices — not on `(n, p)` — so it is rebuilt once per tile and merely
     // indexed inside the per-pixel hot loop.
     let mut mapped_table = vec![false; ctx.q_tiles * ctx.m_rows * cols];
-    let mut bus: Vec<Option<i32>> = vec![None; cols];
-    let mut inputs: Vec<Option<i64>> = vec![None; cols];
-    let mut outputs: Vec<Option<i64>> = vec![None; cols];
+    let mut bus: Vec<i32> = vec![0; cols * lanes];
+    let mut inputs: Vec<i64> = vec![0; cols * lanes];
+    let mut outputs: Vec<i64> = vec![0; cols * lanes];
+    let mut in_present: Vec<bool> = vec![false; cols];
+    let mut out_present: Vec<bool> = vec![false; cols];
+    let mut lane_vals: Vec<i8> = vec![0; lanes];
     let mut groups: Vec<FireGroup> = Vec::with_capacity(ctx.q_cols);
     let mut batch: Vec<FireGroup> = Vec::with_capacity(ctx.q_cols);
     let mut pending: Vec<FireGroup> = Vec::with_capacity(ctx.q_cols);
@@ -886,8 +926,18 @@ fn run_span(
                             let h = ctx.h_table[p * layer.r + r_i];
                             iact.begin_cycle();
                             if let Some(h) = h {
-                                phase1_step(
-                                    ctx, &mut nest, iact, wt_m, wt_c, n, h, s_i, qt, rs_step,
+                                phase1_step::<L>(
+                                    ctx,
+                                    &mut nest,
+                                    iact,
+                                    &mut lane_vals,
+                                    wt_m,
+                                    wt_c,
+                                    n,
+                                    h,
+                                    s_i,
+                                    qt,
+                                    rs_step,
                                 );
                             }
                             iact.flush_cycle();
@@ -897,7 +947,7 @@ fn run_span(
                         for m_lane in 0..ctx.m_rows {
                             let m = wt_m * ctx.m_rows + m_lane;
                             let mapped = &mapped_table[(qt * ctx.m_rows + m_lane) * cols..][..cols];
-                            nest.fire_row_into(m_lane, mapped, &mut bus);
+                            nest.fire_row_stripe(m_lane, mapped, &mut bus);
                             accum.tile_fires[tile] += 1;
                             if m >= layer.m {
                                 continue;
@@ -968,28 +1018,45 @@ fn run_span(
                                     }
                                 };
 
-                                inputs.fill(None);
+                                in_present.fill(false);
                                 for g in &batch {
                                     let lane = g.q_lane * ctx.c_cols;
                                     for col in lane..lane + ctx.c_cols {
                                         if mapped[col] {
-                                            inputs[col] = bus[col].map(|v| v as i64);
+                                            in_present[col] = true;
+                                            let stripe = col * lanes..(col + 1) * lanes;
+                                            for (input, &value) in
+                                                inputs[stripe.clone()].iter_mut().zip(&bus[stripe])
+                                            {
+                                                *input = value as i64;
+                                            }
                                         }
                                     }
                                 }
                                 route
-                                    .run(&inputs, &mut outputs)
+                                    .run_batched(
+                                        &inputs,
+                                        &in_present,
+                                        lanes,
+                                        &mut outputs,
+                                        &mut out_present,
+                                    )
                                     .expect("compiled route matches the network width");
                                 accum.birrd_passes += 1;
                                 accum.birrd_adds += route.adder_activations() as u64;
 
                                 oact.begin_cycle();
                                 for g in &batch {
-                                    let value = outputs[g.bank].unwrap_or(0) as i32;
                                     // In-situ accumulation in the output
-                                    // buffer across channel tiles.
-                                    let prev = oact.peek_at(g.loc).unwrap_or(0);
-                                    oact.write_at(g.loc, prev + value);
+                                    // buffer across channel tiles, all lanes
+                                    // at once (one accounted write). An
+                                    // absent BIRRD output's stripe is zero.
+                                    let sums = &outputs[g.bank * lanes..(g.bank + 1) * lanes];
+                                    for (cell, &sum) in
+                                        oact.write_stripe_at(g.loc).iter_mut().zip(sums)
+                                    {
+                                        *cell = Some(cell.unwrap_or(0) + sum as i32);
+                                    }
                                 }
                                 oact.flush_cycle();
                                 if !groups.is_empty() {
@@ -1008,13 +1075,15 @@ fn run_span(
 }
 
 /// One Phase-1 `rs_step` of a `(n, p, qt)` pixel group: feed every mapped PE
-/// its iAct and advance the local temporal reduction. The input row `h` is
-/// already validated against the padding halo.
+/// its iAct stripe (one accounted read per cell, all lanes) and advance the
+/// local temporal reduction. The input row `h` is already validated against
+/// the padding halo.
 #[allow(clippy::too_many_arguments)]
-fn phase1_step(
+fn phase1_step<const L: usize>(
     ctx: &LayerExec,
     nest: &mut NestArray,
     iact: &mut LayoutView<'_, i32>,
+    lane_vals: &mut [i8],
     wt_m: usize,
     wt_c: usize,
     n: usize,
@@ -1024,6 +1093,7 @@ fn phase1_step(
     rs_step: usize,
 ) {
     let layer = &ctx.layer;
+    let lane_vals = &mut lane_vals[..lane_count::<L>(iact)];
     let m_base = wt_m * ctx.m_rows;
     if m_base >= layer.m {
         return;
@@ -1046,10 +1116,8 @@ fn phase1_step(
                     if c >= layer.c {
                         continue;
                     }
-                    let value = iact
-                        .read_at(ctx.iact_plan.location([n, c, h, w]))
-                        .unwrap_or(0);
-                    nest.mac(m_lane, col, value as i8, rs_step);
+                    read_iacts(iact, ctx.iact_plan.location([n, c, h, w]), lane_vals);
+                    nest.mac_stripe(m_lane..m_lane + 1, col, lane_vals, rs_step);
                 }
             } else {
                 // The same iAct is shared by every row: one accounted read,
@@ -1058,14 +1126,19 @@ fn phase1_step(
                 if c >= layer.c {
                     continue;
                 }
-                let value = iact
-                    .read_at(ctx.iact_plan.location([n, c, h, w]))
-                    .unwrap_or(0);
-                for m_lane in 0..m_lanes {
-                    nest.mac(m_lane, col, value as i8, rs_step);
-                }
+                read_iacts(iact, ctx.iact_plan.location([n, c, h, w]), lane_vals);
+                nest.mac_stripe(0..m_lanes, col, lane_vals, rs_step);
             }
         }
+    }
+}
+
+/// Reads one iAct cell's lane stripe (one accounted read) into `vals`;
+/// never-written cells read as zero.
+#[inline(always)]
+fn read_iacts(iact: &mut LayoutView<'_, i32>, loc: Location, vals: &mut [i8]) {
+    for (value, cell) in vals.iter_mut().zip(iact.read_stripe_at(loc)) {
+        *value = cell.unwrap_or(0) as i8;
     }
 }
 
@@ -1108,395 +1181,6 @@ fn stage_weights(
         }
     }
     nest.swap_all_weights();
-}
-
-// ---------------------------------------------------------------------------
-// Batched lane-vectorized replay
-//
-// A second interpreter of the same recorded route stream: activations live in
-// lane-striped buffers (one batch sample per lane), every op executes once
-// across all lanes, and all accounting — fires, BIRRD passes, buffer stats,
-// conflict stalls — describes a single sample, exactly as one scalar replay
-// would produce. The control flow below mirrors `run_span` line for line;
-// only the data movement is widened.
-// ---------------------------------------------------------------------------
-
-/// Batched-replay counterpart of [`run_conv_core`]: executes the layer once
-/// across `lanes` batch samples held in the views' lane stripes, replaying a
-/// prerecorded route stream. The returned counters equal a single scalar
-/// replay's (per-sample accounting).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_conv_core_batched(
-    ctx: &LayerExec,
-    weights: &Tensor4<i8>,
-    iact: &mut LayoutView<'_, i32>,
-    oact: &mut LayoutView<'_, i32>,
-    stream: &RouteStream,
-    expose_first_weight_load: bool,
-    threads: Option<usize>,
-    lanes: usize,
-) -> Result<CoreRun, ArchError> {
-    let units_total = ctx.units();
-    let workers = effective_workers(threads, &ctx.layer, units_total);
-    let spans = if workers <= 1 {
-        vec![run_span_batched(
-            ctx,
-            weights,
-            0..units_total,
-            iact,
-            oact,
-            stream,
-            lanes,
-        )?]
-    } else {
-        run_sharded_batched(ctx, weights, workers, iact, oact, stream, lanes)?
-    };
-
-    let timing = NestTiming::new(ctx.rows, ctx.cols, ctx.birrd.latency_cycles());
-    let mut run = CoreRun {
-        cycles: 0,
-        birrd_passes: 0,
-        birrd_adds: 0,
-        macs: 0,
-    };
-    let mut tile_fires = vec![0u64; ctx.m_tiles * ctx.c_tiles];
-    for span in &spans {
-        for (tile, fires) in span.tile_fires.iter().enumerate() {
-            tile_fires[tile] += fires;
-        }
-        run.cycles += span.extra_cycles;
-        run.birrd_passes += span.birrd_passes;
-        run.birrd_adds += span.birrd_adds;
-        run.macs += span.macs;
-    }
-    for (tile, &fires) in tile_fires.iter().enumerate() {
-        let first_tile = tile == 0 && expose_first_weight_load;
-        run.cycles += timing.tile(ctx.rs, fires, ctx.rs, first_tile).total();
-    }
-    Ok(run)
-}
-
-/// Batched counterpart of [`run_sharded`]: the forked worker buffers inherit
-/// the views' lane striping, so each worker runs the batched span on its own
-/// stripe copies and the absorb merges data and per-sample statistics back.
-fn run_sharded_batched(
-    ctx: &LayerExec,
-    weights: &Tensor4<i8>,
-    workers: usize,
-    iact: &mut LayoutView<'_, i32>,
-    oact: &mut LayoutView<'_, i32>,
-    stream: &RouteStream,
-    lanes: usize,
-) -> Result<Vec<SpanAccum>, ArchError> {
-    let units_total = ctx.units();
-    let chunk = units_total.div_ceil(workers);
-    let ranges: Vec<Range<usize>> = (0..workers)
-        .map(|w| (w * chunk)..((w + 1) * chunk).min(units_total))
-        .filter(|r| !r.is_empty())
-        .collect();
-    let idims = ctx.layer.iact_dim_sizes();
-    let odims = ctx.layer.oact_dim_sizes();
-    let ibase = iact.fork_buffer();
-    let obase = oact.fork_buffer();
-
-    type WorkerOut = Result<(SpanAccum, FunctionalBuffer<i32>, FunctionalBuffer<i32>), ArchError>;
-    let outcomes: Vec<WorkerOut> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|units| {
-                let mut ibuf = ibase.fork();
-                let mut obuf = obase.fork();
-                let (idims, odims) = (&idims, &odims);
-                scope.spawn(move || -> WorkerOut {
-                    let accum = {
-                        let mut iview = LayoutView::new(&mut ibuf, &ctx.mapping.iact_layout, idims);
-                        let mut oview = LayoutView::new(&mut obuf, &ctx.mapping.oact_layout, odims);
-                        run_span_batched(
-                            ctx, weights, units, &mut iview, &mut oview, stream, lanes,
-                        )?
-                    };
-                    Ok((accum, ibuf, obuf))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("executor worker panicked"))
-            .collect()
-    });
-
-    let mut spans = Vec::with_capacity(outcomes.len());
-    for outcome in outcomes {
-        let (accum, ibuf, obuf) = outcome?;
-        iact.absorb(&ibuf, &ibase);
-        oact.absorb(&obuf, &obase);
-        spans.push(accum);
-    }
-    Ok(spans)
-}
-
-/// Batched counterpart of [`run_span`]: the same tile loop with lane-striped
-/// data movement. Buses, BIRRD inputs and outputs are column-major stripes
-/// (`cols * lanes` flat values plus a `cols`-wide shared presence mask);
-/// buffer traffic goes through the stripe accessors, which account one
-/// sample's accesses.
-#[allow(clippy::too_many_arguments)]
-fn run_span_batched(
-    ctx: &LayerExec,
-    weights: &Tensor4<i8>,
-    units: Range<usize>,
-    iact: &mut LayoutView<'_, i32>,
-    oact: &mut LayoutView<'_, i32>,
-    stream: &RouteStream,
-    lanes: usize,
-) -> Result<SpanAccum, ArchError> {
-    let cols = ctx.cols;
-    let layer = &ctx.layer;
-    let mut nest = NestArray::with_lanes(ctx.rows, cols, lanes);
-    let mut accum = SpanAccum {
-        tile_fires: vec![0; ctx.m_tiles * ctx.c_tiles],
-        extra_cycles: 0,
-        birrd_passes: 0,
-        birrd_adds: 0,
-        macs: 0,
-    };
-
-    let mut w_scratch = vec![0i8; ctx.rs];
-    let mut mapped_table = vec![false; ctx.q_tiles * ctx.m_rows * cols];
-    let mut bus: Vec<i32> = vec![0; cols * lanes];
-    let mut inputs: Vec<i64> = vec![0; cols * lanes];
-    let mut outputs: Vec<i64> = vec![0; cols * lanes];
-    let mut in_present: Vec<bool> = vec![false; cols];
-    let mut out_present: Vec<bool> = vec![false; cols];
-    let mut lane_vals: Vec<i8> = vec![0; lanes];
-    let mut acc_scratch: Vec<i32> = vec![0; lanes];
-    let mut groups: Vec<FireGroup> = Vec::with_capacity(ctx.q_cols);
-    let mut batch: Vec<FireGroup> = Vec::with_capacity(ctx.q_cols);
-    let mut pending: Vec<FireGroup> = Vec::with_capacity(ctx.q_cols);
-    let mut bank_used = vec![false; cols];
-
-    let n_total = layer.n;
-    let mut unit = units.start;
-    while unit < units.end {
-        let wt_m = unit / n_total;
-        let n_range = (unit % n_total)..(units.end - wt_m * n_total).min(n_total);
-        unit = wt_m * n_total + n_range.end;
-
-        for wt_c in 0..ctx.c_tiles {
-            stage_weights(ctx, weights, &mut nest, wt_m, wt_c, &mut w_scratch);
-            let tile = wt_m * ctx.c_tiles + wt_c;
-            for qt in 0..ctx.q_tiles {
-                for m_lane in 0..ctx.m_rows {
-                    let m = wt_m * ctx.m_rows + m_lane;
-                    let row = &mut mapped_table[(qt * ctx.m_rows + m_lane) * cols..][..cols];
-                    for (col, slot) in row.iter_mut().enumerate() {
-                        let q_lane = col / ctx.c_cols;
-                        let q = qt * ctx.q_cols + q_lane;
-                        let c = if ctx.depthwise {
-                            m
-                        } else {
-                            wt_c * ctx.c_cols + col % ctx.c_cols
-                        };
-                        *slot =
-                            q_lane < ctx.q_cols && q < ctx.q_total && m < layer.m && c < layer.c;
-                    }
-                }
-            }
-
-            for n in n_range.clone() {
-                let mut pos = stream.block_starts[tile * n_total + n] as usize;
-                for p in 0..ctx.p_total {
-                    for qt in 0..ctx.q_tiles {
-                        // ---- Phase 1: local temporal reduction ----
-                        for rs_step in 0..ctx.rs {
-                            let r_i = rs_step / layer.s;
-                            let s_i = rs_step % layer.s;
-                            let h = ctx.h_table[p * layer.r + r_i];
-                            iact.begin_cycle();
-                            if let Some(h) = h {
-                                phase1_step_batched(
-                                    ctx,
-                                    &mut nest,
-                                    iact,
-                                    &mut lane_vals,
-                                    wt_m,
-                                    wt_c,
-                                    n,
-                                    h,
-                                    s_i,
-                                    qt,
-                                    rs_step,
-                                );
-                            }
-                            iact.flush_cycle();
-                        }
-
-                        // ---- Phase 2: row fires through BIRRD (RIR) ----
-                        for m_lane in 0..ctx.m_rows {
-                            let m = wt_m * ctx.m_rows + m_lane;
-                            let mapped = &mapped_table[(qt * ctx.m_rows + m_lane) * cols..][..cols];
-                            nest.fire_row_stripe(m_lane, mapped, &mut bus);
-                            accum.tile_fires[tile] += 1;
-                            if m >= layer.m {
-                                continue;
-                            }
-
-                            groups.clear();
-                            for q_lane in 0..ctx.q_cols {
-                                let q = qt * ctx.q_cols + q_lane;
-                                if q >= ctx.q_total {
-                                    continue;
-                                }
-                                let lane = q_lane * ctx.c_cols;
-                                if !mapped[lane..lane + ctx.c_cols].iter().any(|&b| b) {
-                                    continue;
-                                }
-                                let loc = ctx.oact_plan.location([n, m, p, q]);
-                                groups.push(FireGroup {
-                                    q_lane,
-                                    bank: loc.offset % cols,
-                                    loc,
-                                });
-                            }
-
-                            while !groups.is_empty() {
-                                batch.clear();
-                                pending.clear();
-                                bank_used.fill(false);
-                                for g in groups.drain(..) {
-                                    if !bank_used[g.bank] {
-                                        bank_used[g.bank] = true;
-                                        batch.push(g);
-                                    } else {
-                                        pending.push(g);
-                                    }
-                                }
-                                std::mem::swap(&mut groups, &mut pending);
-
-                                let slot = stream.stream[pos] as usize;
-                                pos += 1;
-                                let route: &CompiledRoute = &stream.slots[slot];
-
-                                in_present.fill(false);
-                                for g in &batch {
-                                    let lane = g.q_lane * ctx.c_cols;
-                                    for col in lane..lane + ctx.c_cols {
-                                        if mapped[col] {
-                                            in_present[col] = true;
-                                            for l in 0..lanes {
-                                                inputs[col * lanes + l] =
-                                                    bus[col * lanes + l] as i64;
-                                            }
-                                        }
-                                    }
-                                }
-                                route
-                                    .run_batched(
-                                        &inputs,
-                                        &in_present,
-                                        lanes,
-                                        &mut outputs,
-                                        &mut out_present,
-                                    )
-                                    .expect("compiled route matches the network width");
-                                accum.birrd_passes += 1;
-                                accum.birrd_adds += route.adder_activations() as u64;
-
-                                oact.begin_cycle();
-                                for g in &batch {
-                                    // In-situ accumulation across channel
-                                    // tiles, all lanes at once; absent BIRRD
-                                    // outputs contribute zero, exactly like
-                                    // the scalar path's `unwrap_or(0)`.
-                                    for (l, acc) in acc_scratch.iter_mut().enumerate() {
-                                        let value = if out_present[g.bank] {
-                                            outputs[g.bank * lanes + l] as i32
-                                        } else {
-                                            0
-                                        };
-                                        let prev = oact.peek_stripe_at(g.loc)[l].unwrap_or(0);
-                                        *acc = prev + value;
-                                    }
-                                    for (slot, acc) in
-                                        oact.write_stripe_at(g.loc).iter_mut().zip(&acc_scratch)
-                                    {
-                                        *slot = Some(*acc);
-                                    }
-                                }
-                                oact.flush_cycle();
-                                if !groups.is_empty() {
-                                    accum.extra_cycles += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    accum.macs = nest.total_macs();
-    Ok(accum)
-}
-
-/// Batched counterpart of [`phase1_step`]: one accounted stripe read per iAct
-/// cell, broadcast to every mapped PE row across all lanes.
-#[allow(clippy::too_many_arguments)]
-fn phase1_step_batched(
-    ctx: &LayerExec,
-    nest: &mut NestArray,
-    iact: &mut LayoutView<'_, i32>,
-    lane_vals: &mut [i8],
-    wt_m: usize,
-    wt_c: usize,
-    n: usize,
-    h: usize,
-    s_i: usize,
-    qt: usize,
-    rs_step: usize,
-) {
-    let layer = &ctx.layer;
-    let m_base = wt_m * ctx.m_rows;
-    if m_base >= layer.m {
-        return;
-    }
-    let m_lanes = ctx.m_rows.min(layer.m - m_base);
-    for q_lane in 0..ctx.q_cols {
-        let q = qt * ctx.q_cols + q_lane;
-        if q >= ctx.q_total {
-            continue;
-        }
-        let Some(w) = ctx.w_table[q * layer.s + s_i] else {
-            continue;
-        };
-        for c_lane in 0..ctx.c_cols {
-            let col = q_lane * ctx.c_cols + c_lane;
-            if ctx.depthwise {
-                for m_lane in 0..m_lanes {
-                    let c = m_base + m_lane;
-                    if c >= layer.c {
-                        continue;
-                    }
-                    let stripe = iact.read_stripe_at(ctx.iact_plan.location([n, c, h, w]));
-                    for (v, cell) in lane_vals.iter_mut().zip(stripe) {
-                        *v = cell.unwrap_or(0) as i8;
-                    }
-                    nest.mac_stripe(m_lane, col, lane_vals, rs_step);
-                }
-            } else {
-                let c = wt_c * ctx.c_cols + c_lane;
-                if c >= layer.c {
-                    continue;
-                }
-                let stripe = iact.read_stripe_at(ctx.iact_plan.location([n, c, h, w]));
-                for (v, cell) in lane_vals.iter_mut().zip(stripe) {
-                    *v = cell.unwrap_or(0) as i8;
-                }
-                for m_lane in 0..m_lanes {
-                    nest.mac_stripe(m_lane, col, lane_vals, rs_step);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -8,11 +8,11 @@
 //! replays the *same* schedule thousands of times, so all of that work is
 //! hoisted here into a one-time compile:
 //!
-//! * **[`Program`]** — a linear op stream ([`Op`]: `Stage`, `Fire`,
+//! * **[`Program`]** — a linear op stream (`Op`: `Stage`, `Fire`,
 //!   `Reorder`, `Swap`, `Drain`, `Join`, `Park`/`Unpark`) with every layout,
 //!   location plan, buffer spec, scratch move and compiled BIRRD route
 //!   resolved at compile time. Routes live in direct `Arc` slots inside a
-//!   per-layer [`RouteStream`] — replay never hashes a request or touches
+//!   per-layer `RouteStream` — replay never hashes a request or touches
 //!   the shared route cache.
 //! * **[`ProgramSession`]** — the executor: dispatches the op stream
 //!   linearly. Replay is bit-identical to the interpreted session — outputs,
@@ -51,9 +51,7 @@ use feather_memsim::{BufferSpec, LayoutView, PingPong, ScratchRegion};
 
 use crate::accelerator::check_weight_shape;
 use crate::config::FeatherConfig;
-use crate::core::{
-    run_conv_core, run_conv_core_batched, LayerExec, RouteExecution, RouteRecorder, RouteStream,
-};
+use crate::core::{run_conv_core, LayerExec, RouteExecution, RouteRecorder, RouteStream};
 use crate::graph_session::{pool_window_weights, widen, GraphSession, Step};
 use crate::mapping::LayerMapping;
 use crate::report::{
@@ -566,15 +564,14 @@ impl Program {
 }
 
 /// Reusable replay allocations: the per-segment StaB ping/pong pairs that
-/// [`ProgramSession::run_with_scratch`] and
-/// [`ProgramSession::run_batched_with_scratch`] park between runs instead of
-/// reallocating. One scratch belongs to one executor thread at a time (it is
-/// `&mut` for the whole run) and adapts automatically when handed a
+/// [`ProgramSession::run_batched_with_scratch`] parks between runs instead
+/// of reallocating. One scratch belongs to one executor thread at a time (it
+/// is `&mut` for the whole run) and adapts automatically when handed a
 /// different program or lane count — the stash is keyed on
 /// `(fingerprint, batch, lanes)` and a mismatch drops it, so buffers striped
-/// for 4 lanes never serve an 8-lane run and lane-striped buffers never leak
-/// into a scalar one. A worker serving many (model, batch size) pairs can
-/// keep one scratch per pair or share fewer and only pay a regrow.
+/// for 4 lanes never serve a 1- or 8-lane run. A worker serving many
+/// (model, batch size) pairs can keep one scratch per pair or share fewer
+/// and only pay a regrow.
 ///
 /// Replaying through a reused scratch is bit-identical to replaying through
 /// a fresh one (outputs *and* the full report) — buffers are re-provisioned
@@ -582,17 +579,13 @@ impl Program {
 #[derive(Debug, Default)]
 pub struct ReplayScratch {
     /// `(fingerprint, batch, lanes)` of the last completed run through this
-    /// scratch; scalar runs use [`ReplayScratch::SCALAR`] as their lane key.
+    /// scratch.
     shaped_for: Option<(u64, usize, usize)>,
     /// One parked StaB pair per program segment.
     stabs: Vec<Option<PingPong<i32>>>,
 }
 
 impl ReplayScratch {
-    /// Lane key of the scalar replay path — distinct from every lane count
-    /// a batched run can use (those are ≥ 1).
-    const SCALAR: usize = 0;
-
     /// An empty scratch; buffers are grown on first use.
     pub fn new() -> Self {
         ReplayScratch::default()
@@ -656,9 +649,11 @@ impl ProgramSession {
         &self.program
     }
 
-    /// Replays the program: bit-identical to [`GraphSession::run`] of the
-    /// originating session — outputs, cycles, access statistics and reports
-    /// alike — with zero planning, hashing or weight cloning on the hot path.
+    /// Replays the program on one sample: bit-identical to
+    /// [`GraphSession::run`] of the originating session — outputs, cycles,
+    /// access statistics and reports alike — with zero planning, hashing or
+    /// weight cloning on the hot path. This is
+    /// [`ProgramSession::run_batched`] at one lane.
     ///
     /// # Errors
     /// Returns an error on missing weights or operand shape mismatches.
@@ -667,277 +662,20 @@ impl ProgramSession {
         iacts: &Tensor4<i8>,
         weights: &BTreeMap<NodeId, Tensor4<i8>>,
     ) -> Result<GraphRun, ArchError> {
-        self.run_with_scratch(&mut ReplayScratch::new(), iacts, weights)
-    }
-
-    /// [`ProgramSession::run`] reusing `scratch`'s buffer allocations across
-    /// calls: each segment's StaB ping/pong pair is parked in the scratch at
-    /// drain time and re-provisioned (reshaped + cleared, no reallocation) at
-    /// the next stage, so a serving executor's steady state allocates no
-    /// buffer memory per request. Results are bit-identical to
-    /// [`ProgramSession::run`] with a fresh scratch.
-    ///
-    /// # Errors
-    /// Returns an error on missing weights or operand shape mismatches.
-    pub fn run_with_scratch(
-        &self,
-        scratch_bufs: &mut ReplayScratch,
-        iacts: &Tensor4<i8>,
-        weights: &BTreeMap<NodeId, Tensor4<i8>>,
-    ) -> Result<GraphRun, ArchError> {
-        let p = &*self.program;
-        scratch_bufs.begin(p, ReplayScratch::SCALAR);
-        if iacts.shape() != p.input_shape {
-            return Err(ArchError::ShapeMismatch(format!(
-                "graph input shape {:?}, expected {:?}",
-                iacts.shape(),
-                p.input_shape
-            )));
-        }
-        let threads = self.threads.or(p.threads);
-
-        let mut scratch: ScratchRegion<i8> = ScratchRegion::new(p.config.cols.max(1));
-        let mut fresh: Option<(usize, Tensor4<i8>)> = Some((p.input_slot, iacts.clone()));
-        let mut displaced: Option<(usize, Tensor4<i8>)> = None;
-        let mut queue: VecDeque<Tensor4<i8>> = VecDeque::new();
-        let mut segment_reports: Vec<SegmentSummary> = Vec::with_capacity(p.segments.len());
-        let mut join_reports: Vec<JoinSummary> = Vec::with_capacity(p.joins.len());
-        let mut final_acc: Option<Tensor4<i32>> = None;
-
-        // In-flight segment state between its Stage and Drain ops.
-        let mut stab: Option<PingPong<i32>> = None;
-        let mut summaries: Vec<LayerSummary> = Vec::new();
-        let mut input_from_scratch = false;
-
-        let broken = |what: &str| {
-            ArchError::InvalidWorkload(format!("compiled program is inconsistent: {what}"))
-        };
-
-        for op in &p.ops {
-            match *op {
-                Op::Unpark { tensor, free } => {
-                    let slot = &p.tensors[tensor];
-                    let missing = || {
-                        ArchError::InvalidWorkload(format!(
-                            "tensor t{} consumed before being produced or after being freed",
-                            slot.id
-                        ))
-                    };
-                    // `fetch` counts the read; the final consumer then moves
-                    // the parked allocation out instead of copying it.
-                    let data = if free {
-                        scratch.fetch(&slot.key).ok_or_else(missing)?;
-                        scratch.release(&slot.key).expect("fetched above")
-                    } else {
-                        scratch.fetch(&slot.key).ok_or_else(missing)?.to_vec()
-                    };
-                    queue.push_back(Tensor4::from_vec(slot.shape, data)?);
-                }
-                Op::Stage {
-                    seg,
-                    fresh: from_fresh,
-                    take,
-                } => {
-                    let input = if from_fresh {
-                        if take {
-                            fresh
-                                .take()
-                                .ok_or_else(|| broken("fresh operand missing"))?
-                                .1
-                        } else {
-                            fresh
-                                .as_ref()
-                                .ok_or_else(|| broken("fresh operand missing"))?
-                                .1
-                                .clone()
-                        }
-                    } else {
-                        queue
-                            .pop_front()
-                            .ok_or_else(|| broken("unpark queue is empty"))?
-                    };
-                    input_from_scratch = !from_fresh;
-                    let cs = &p.segments[seg];
-                    let first = &cs.layers[0];
-                    let l = &first.exec.layer;
-                    let expected = [l.n, l.c, l.h, l.w];
-                    if input.shape() != expected {
-                        return Err(ArchError::ShapeMismatch(format!(
-                            "iacts shape {:?}, expected {:?}",
-                            input.shape(),
-                            expected
-                        )));
-                    }
-                    let mut pp: PingPong<i32> = match scratch_bufs.stabs[seg].take() {
-                        Some(mut parked) => {
-                            parked.reset(first.iact_spec);
-                            parked
-                        }
-                        None => PingPong::new(first.iact_spec),
-                    };
-                    {
-                        let (active, _) = pp.split_mut();
-                        let mut view =
-                            LayoutView::new(active, &first.exec.mapping.iact_layout, &first.idims);
-                        input.for_each(|coord, v| {
-                            view.write_at(first.iact_plan.location(coord), v as i32)
-                        });
-                        view.flush_cycle();
-                    }
-                    stab = Some(pp);
-                    summaries = Vec::with_capacity(cs.layers.len());
-                }
-                Op::Fire { seg, layer } => {
-                    let cs = &p.segments[seg];
-                    let cl = &cs.layers[layer];
-                    let lw: &Tensor4<i8> = match &cl.weight {
-                        WeightSource::Pool(w) => w,
-                        WeightSource::Node(id) => weights.get(id).ok_or_else(|| {
-                            ArchError::InvalidWorkload(format!(
-                                "no weight tensor supplied for node `{}`",
-                                cs.names[layer]
-                            ))
-                        })?,
-                    };
-                    check_weight_shape(&cl.exec.layer, lw)?;
-                    let pp = stab.as_mut().ok_or_else(|| broken("fire before stage"))?;
-                    pp.shadow().reshape(cl.oact_spec);
-                    if layer > 0 {
-                        pp.active().rebank(cl.iact_spec);
-                    }
-                    let iact_base = *pp.active_ref().stats();
-                    let oact_base = *pp.shadow_ref().stats();
-                    let core = {
-                        let (active, shadow) = pp.split_mut();
-                        let mut iact_view =
-                            LayoutView::new(active, &cl.exec.mapping.iact_layout, &cl.idims);
-                        let mut oact_view =
-                            LayoutView::new(shadow, &cl.exec.mapping.oact_layout, &cl.odims);
-                        run_conv_core(
-                            &cl.exec,
-                            lw,
-                            &mut iact_view,
-                            &mut oact_view,
-                            RouteExecution::Replay(&cl.routes),
-                            layer == 0,
-                            threads,
-                        )?
-                    };
-                    let iact_stats = pp.active_ref().stats().since(&iact_base);
-                    let oact_stats = pp.shadow_ref().stats().since(&oact_base);
-                    summaries.push(layer_summary(
-                        &p.config,
-                        &p.energy_model,
-                        &cl.exec.layer,
-                        &core,
-                        iact_stats,
-                        oact_stats,
-                        layer == 0,
-                        layer + 1 == cs.layers.len(),
-                    ));
-                }
-                Op::Reorder { seg, layer } => {
-                    let cl = &p.segments[seg].layers[layer];
-                    let pp = stab
-                        .as_mut()
-                        .ok_or_else(|| broken("reorder before stage"))?;
-                    let shadow = pp.shadow();
-                    let mut view = LayoutView::new(shadow, &cl.exec.mapping.oact_layout, &cl.odims);
-                    let (shift, zero) = (p.quant_shift, p.quant_zero);
-                    for_each_oact(&cl.exec.layer, |coord| {
-                        let loc = cl.oact_plan.location(coord);
-                        let acc = view.peek_at(loc).unwrap_or(0);
-                        view.poke_at(loc, quantize_value(acc, shift, zero) as i32);
-                    });
-                }
-                Op::Swap { .. } => {
-                    stab.as_mut()
-                        .ok_or_else(|| broken("swap before stage"))?
-                        .swap();
-                }
-                Op::Drain { seg } => {
-                    let cs = &p.segments[seg];
-                    let last = cs.layers.last().expect("segments are non-empty");
-                    let mut pp = stab.take().ok_or_else(|| broken("drain before stage"))?;
-                    let oacts = {
-                        let (active, _) = pp.split_mut();
-                        let view =
-                            LayoutView::new(active, &last.exec.mapping.oact_layout, &last.odims);
-                        let l = &last.exec.layer;
-                        Tensor4::from_fn(
-                            [l.n, l.m, l.output_height(), l.output_width()],
-                            |n, m, ph, q| {
-                                view.peek_at(last.oact_plan.location([n, m, ph, q]))
-                                    .unwrap_or(0)
-                            },
-                        )
-                    };
-                    let mut report = NetworkReport {
-                        layers: std::mem::take(&mut summaries),
-                        stab_swaps: pp.swaps(),
-                    };
-                    scratch_bufs.stabs[seg] = Some(pp);
-                    adjust_report(&mut report, cs, &p.energy_model);
-                    segment_reports.push(SegmentSummary {
-                        nodes: cs.names.clone(),
-                        report,
-                        input_from_scratch,
-                    });
-                    if cs.graph_output {
-                        final_acc = Some(oacts.clone());
-                    }
-                    let quantized = quantize_to_i8(&oacts, p.quant_shift, p.quant_zero);
-                    displaced = fresh.take();
-                    fresh = Some((cs.output, quantized));
-                }
-                Op::Join { join } => {
-                    let spec = &p.joins[join];
-                    let a = take_operand(spec.a, &mut fresh, &mut queue, &broken)?;
-                    let b = take_operand(spec.b, &mut fresh, &mut queue, &broken)?;
-                    let (sum, saturated) = saturating_add_i8(&a, &b)?;
-                    join_reports.push(JoinSummary {
-                        name: spec.name.clone(),
-                        elements: sum.len() as u64,
-                        saturated,
-                    });
-                    if spec.graph_output {
-                        final_acc = Some(widen(&sum));
-                    }
-                    displaced = fresh.take();
-                    fresh = Some((spec.output, sum));
-                }
-                Op::Park { tensor } => {
-                    let (_, data) = displaced
-                        .take()
-                        .ok_or_else(|| broken("park without a displaced tensor"))?;
-                    scratch.park(p.tensors[tensor].key.clone(), data.as_slice().to_vec());
-                }
-            }
-        }
-
-        scratch_bufs.commit(p, ReplayScratch::SCALAR);
-        Ok(GraphRun {
-            oacts: final_acc.ok_or_else(|| broken("no op produced the graph output"))?,
-            report: GraphReport {
-                segments: segment_reports,
-                joins: join_reports,
-                scratch: *scratch.stats(),
-                scratch_peak_elems: scratch.peak_occupancy() as u64,
-            },
-        })
+        let mut runs = self.run_batched(std::slice::from_ref(iacts), weights)?;
+        Ok(runs.pop().expect("one run per sample"))
     }
 
     /// Replays the program once per input sample, executing every op a single
-    /// time across all samples in lane-vectorized lockstep — the batched
-    /// replay backend. Activations live in lane stripes (sample `l` occupies
-    /// lane `l` of every StaB cell), each BIRRD route gathers whole stripes,
-    /// and every piece of cycle/conflict/traffic accounting runs **once**:
-    /// the schedule, routes and access patterns are data-independent, so one
-    /// sample's accounting is every sample's accounting. The returned runs —
-    /// outputs *and* full reports — are bit-identical to calling
-    /// [`ProgramSession::run`] on each sample alone (the per-lane
-    /// [`JoinSummary`] saturation flags are the only data-dependent bits and
-    /// are computed per lane).
+    /// time across all samples in lane-vectorized lockstep. Activations live
+    /// in lane stripes (sample `l` occupies lane `l` of every StaB cell),
+    /// each BIRRD route gathers whole stripes, and every piece of
+    /// cycle/conflict/traffic accounting runs **once**: the schedule, routes
+    /// and access patterns are data-independent, so one sample's accounting
+    /// is every sample's accounting. The returned runs — outputs *and* full
+    /// reports — are bit-identical to [`GraphSession::run`] of each sample
+    /// alone (the per-lane [`JoinSummary`] saturation flags are the only
+    /// data-dependent bits and are computed per lane).
     ///
     /// # Errors
     /// Returns an error on an empty batch, a sample shape mismatch, or
@@ -951,11 +689,11 @@ impl ProgramSession {
     }
 
     /// [`ProgramSession::run_batched`] reusing `scratch`'s lane-striped StaB
-    /// allocations across calls, the batched analogue of
-    /// [`ProgramSession::run_with_scratch`] (both take the same
-    /// [`ReplayScratch`]): a serving executor's steady state allocates no
-    /// buffer memory per batch. Results are bit-identical to
-    /// [`ProgramSession::run_batched`] with a fresh scratch.
+    /// allocations across calls: each segment's StaB ping/pong pair is parked
+    /// in the scratch at drain time and re-provisioned (reshaped + cleared,
+    /// no reallocation) at the next stage, so a serving executor's steady
+    /// state allocates no buffer memory per batch. Results are bit-identical
+    /// to [`ProgramSession::run_batched`] with a fresh scratch.
     ///
     /// # Errors
     /// Returns an error on an empty batch, a sample shape mismatch, or
@@ -1019,16 +757,25 @@ impl ProgramSession {
                             slot.id
                         ))
                     };
-                    let data = if free {
+                    // `fetch` counts the read; the final consumer then moves
+                    // the parked allocation out instead of copying it.
+                    let mut data = if free {
                         scratch.fetch(&slot.key).ok_or_else(missing)?;
                         scratch.release(&slot.key).expect("fetched above")
                     } else {
                         scratch.fetch(&slot.key).ok_or_else(missing)?.to_vec()
                     };
+                    // Peel lanes off the back, so lane 0 keeps the allocation.
                     let per_lane = data.len() / lanes;
-                    let tensors = data
-                        .chunks_exact(per_lane)
-                        .map(|chunk| Tensor4::from_vec(slot.shape, chunk.to_vec()))
+                    let mut parts: Vec<Vec<i8>> = (1..lanes)
+                        .rev()
+                        .map(|lane| data.split_off(lane * per_lane))
+                        .collect();
+                    parts.push(data);
+                    let tensors = parts
+                        .into_iter()
+                        .rev()
+                        .map(|part| Tensor4::from_vec(slot.shape, part))
                         .collect::<Result<Vec<_>, _>>()?;
                     queue.push_back(tensors);
                 }
@@ -1122,15 +869,14 @@ impl ProgramSession {
                             LayoutView::new(active, &cl.exec.mapping.iact_layout, &cl.idims);
                         let mut oact_view =
                             LayoutView::new(shadow, &cl.exec.mapping.oact_layout, &cl.odims);
-                        run_conv_core_batched(
+                        run_conv_core(
                             &cl.exec,
                             lw,
                             &mut iact_view,
                             &mut oact_view,
-                            &cl.routes,
+                            RouteExecution::Replay(&cl.routes),
                             layer == 0,
                             threads,
-                            lanes,
                         )?
                     };
                     let iact_stats = pp.active_ref().stats().since(&iact_base);
@@ -1212,8 +958,8 @@ impl ProgramSession {
                 }
                 Op::Join { join } => {
                     let spec = &p.joins[join];
-                    let a = take_operand_lanes(spec.a, &mut fresh, &mut queue, &broken)?;
-                    let b = take_operand_lanes(spec.b, &mut fresh, &mut queue, &broken)?;
+                    let a = take_operand(spec.a, &mut fresh, &mut queue, &broken)?;
+                    let b = take_operand(spec.b, &mut fresh, &mut queue, &broken)?;
                     let mut sums: Vec<Tensor4<i8>> = Vec::with_capacity(lanes);
                     for (lane, (la, lb)) in a.iter().zip(&b).enumerate() {
                         let (sum, saturated) = saturating_add_i8(la, lb)?;
@@ -1249,12 +995,18 @@ impl ProgramSession {
         let scratch_peak = scratch.peak_occupancy() as u64;
         Ok(final_acc
             .into_iter()
+            .zip(join_reports)
             .enumerate()
-            .map(|(lane, oacts)| GraphRun {
+            .map(|(lane, (oacts, joins))| GraphRun {
                 oacts,
                 report: GraphReport {
-                    segments: segment_reports.clone(),
-                    joins: std::mem::take(&mut join_reports[lane]),
+                    // The last lane takes the shared reports, the rest clone.
+                    segments: if lane + 1 == lanes {
+                        std::mem::take(&mut segment_reports)
+                    } else {
+                        segment_reports.clone()
+                    },
+                    joins,
                     scratch: scratch_stats,
                     scratch_peak_elems: scratch_peak,
                 },
@@ -1263,36 +1015,14 @@ impl ProgramSession {
     }
 }
 
-/// [`take_operand`] for the batched executor: one tensor per lane.
-fn take_operand_lanes(
+/// Resolves a join operand (one tensor per lane) from the fresh register or
+/// the unpark queue.
+fn take_operand(
     src: OperandSrc,
     fresh: &mut Option<(usize, Vec<Tensor4<i8>>)>,
     queue: &mut VecDeque<Vec<Tensor4<i8>>>,
     broken: &impl Fn(&str) -> ArchError,
 ) -> Result<Vec<Tensor4<i8>>, ArchError> {
-    match src {
-        OperandSrc::Fresh { take: true } => Ok(fresh
-            .take()
-            .ok_or_else(|| broken("fresh operand missing"))?
-            .1),
-        OperandSrc::Fresh { take: false } => Ok(fresh
-            .as_ref()
-            .ok_or_else(|| broken("fresh operand missing"))?
-            .1
-            .clone()),
-        OperandSrc::Queue => queue
-            .pop_front()
-            .ok_or_else(|| broken("unpark queue is empty")),
-    }
-}
-
-/// Resolves a join operand from the fresh register or the unpark queue.
-fn take_operand(
-    src: OperandSrc,
-    fresh: &mut Option<(usize, Tensor4<i8>)>,
-    queue: &mut VecDeque<Tensor4<i8>>,
-    broken: &impl Fn(&str) -> ArchError,
-) -> Result<Tensor4<i8>, ArchError> {
     match src {
         OperandSrc::Fresh { take: true } => Ok(fresh
             .take()
@@ -2261,60 +1991,43 @@ mod tests {
         let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
         let weights = g.random_weights(42);
         let replay = ProgramSession::new(session.compile().unwrap());
-        let batched = ProgramSession::new(session.with_batch(2).unwrap().compile().unwrap());
+        let batch2 = ProgramSession::new(session.with_batch(2).unwrap().compile().unwrap());
 
+        // One scratch driven through 1 → 4 → 1 lanes of one program, then
+        // onto a second program (the batch-2 variant), twice per step so each
+        // stash is also reused as-is. Every run must match the same run on a
+        // fresh scratch exactly (outputs and full report): no state leaks
+        // between requests, and a stash shaped for one (program, lanes) key
+        // never serves another.
         let mut scratch = ReplayScratch::new();
-        for seed in 0..3u64 {
-            // Different inputs through one reused scratch: each run must
-            // match a fresh-scratch run exactly (outputs and full report),
-            // i.e. no state may leak between requests.
-            let iacts = Tensor4::random([1, 4, 6, 6], 50 + seed);
-            let fresh = replay.run(&iacts, &weights).unwrap();
-            let reused = replay
-                .run_with_scratch(&mut scratch, &iacts, &weights)
-                .unwrap();
-            assert_eq!(reused.oacts, fresh.oacts, "seed {seed} outputs diverged");
-            assert_eq!(reused.report, fresh.report, "seed {seed} report diverged");
-        }
-
-        // Handing the same scratch a different program (the batch-2 variant)
-        // retargets the stash instead of corrupting the run.
-        let iacts2 = Tensor4::random([2, 4, 6, 6], 60);
-        let fresh2 = batched.run(&iacts2, &weights).unwrap();
-        let reused2 = batched
-            .run_with_scratch(&mut scratch, &iacts2, &weights)
-            .unwrap();
-        assert_eq!(reused2.oacts, fresh2.oacts);
-        assert_eq!(reused2.report, fresh2.report);
-
-        // A lane-batched run of the batch-1 program through the same
-        // scratch: the stash is re-keyed to lane-striped buffers, and every
-        // lane still matches its solo run exactly.
-        let lanes: Vec<Tensor4<i8>> = (0..3u64)
-            .map(|seed| Tensor4::random([1, 4, 6, 6], 65 + seed))
-            .collect();
-        for _ in 0..2 {
-            let runs = replay
-                .run_batched_with_scratch(&mut scratch, &lanes, &weights)
-                .unwrap();
-            for (lane, (run, sample)) in runs.iter().zip(&lanes).enumerate() {
-                let solo = replay.run(sample, &weights).unwrap();
-                assert_eq!(run.oacts, solo.oacts, "lane {lane} outputs diverged");
-                assert_eq!(run.report, solo.report, "lane {lane} report diverged");
+        let steps = [
+            (&replay, 1usize, 1usize),
+            (&replay, 1, 4),
+            (&replay, 1, 1),
+            (&batch2, 2, 1),
+        ];
+        for (step, (program, batch, lanes)) in steps.into_iter().enumerate() {
+            for rep in 0..2u64 {
+                let seed = 50 + 10 * step as u64 + 5 * rep;
+                let samples: Vec<Tensor4<i8>> = (0..lanes as u64)
+                    .map(|lane| Tensor4::random([batch, 4, 6, 6], seed + lane))
+                    .collect();
+                let fresh = program.run_batched(&samples, &weights).unwrap();
+                let reused = program
+                    .run_batched_with_scratch(&mut scratch, &samples, &weights)
+                    .unwrap();
+                assert_eq!(reused.len(), lanes);
+                for (lane, (reused, fresh)) in reused.iter().zip(&fresh).enumerate() {
+                    let at = format!("step {step} rep {rep} lane {lane}");
+                    assert_eq!(reused.oacts, fresh.oacts, "{at}: outputs diverged");
+                    assert_eq!(reused.report, fresh.report, "{at}: report diverged");
+                }
             }
         }
-
-        // And back to the scalar path: the striped stash never leaks into
-        // it, so the run is still exact.
-        let iacts3 = Tensor4::random([1, 4, 6, 6], 70);
-        let fresh3 = replay.run(&iacts3, &weights).unwrap();
-        let reused3 = replay
-            .run_with_scratch(&mut scratch, &iacts3, &weights)
-            .unwrap();
-        assert_eq!(reused3.oacts, fresh3.oacts);
-        assert_eq!(reused3.report, fresh3.report);
     }
 
+    /// Every lane of a replay equals the interpreter's solo run of its
+    /// sample, at every lane count, reused or fresh, serial or sharded.
     #[test]
     fn batched_replay_is_bit_identical_to_solo_replays() {
         let g = residual_graph();
@@ -2334,7 +2047,7 @@ mod tests {
                 .unwrap();
             assert_eq!(fresh.len(), lanes);
             for (lane, sample) in batch.iter().enumerate() {
-                let solo = replay.run(sample, &weights).unwrap();
+                let solo = session.run(sample, &weights).unwrap();
                 assert_eq!(fresh[lane].oacts, solo.oacts, "lane {lane} outputs");
                 assert_eq!(fresh[lane].report, solo.report, "lane {lane} report");
                 assert_eq!(reused[lane].oacts, solo.oacts, "lane {lane} reused outputs");
@@ -2351,7 +2064,7 @@ mod tests {
             .run_batched(&samples, &weights)
             .unwrap();
         for (lane, sample) in samples.iter().enumerate() {
-            let solo = replay.run(sample, &weights).unwrap();
+            let solo = session.run(sample, &weights).unwrap();
             assert_eq!(sharded[lane].oacts, solo.oacts, "lane {lane} sharded");
             assert_eq!(sharded[lane].report, solo.report, "lane {lane} sharded");
         }

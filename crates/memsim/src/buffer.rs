@@ -19,11 +19,12 @@ use crate::BufferSpec;
 ///
 /// A buffer built with [`FunctionalBuffer::with_lanes`] stores `lanes`
 /// independent copies of every cell, laid out structure-of-arrays (the lane
-/// stripe of one cell is contiguous). This backs the batched replay executor:
-/// every batch sample occupies one lane, the access *pattern* is identical
-/// across lanes, so the stripe accessors account each access **once** —
-/// element/line counters and the per-cycle bank-conflict assessment model a
-/// single sample's traffic exactly while the data of all lanes moves. The
+/// stripe of one cell is contiguous). This backs the executor's conv core at
+/// any lane count: every batch sample occupies one lane, the access
+/// *pattern* is identical across lanes, so the stripe accessors account each
+/// access **once** — element/line counters and the per-cycle bank-conflict
+/// assessment model a single sample's traffic exactly while the data of all
+/// lanes moves. The
 /// scalar accessors keep addressing lane 0 and a `lanes == 1` buffer is
 /// bit-identical to one built with [`FunctionalBuffer::new`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -281,7 +282,7 @@ impl<T: Copy> FunctionalBuffer<T> {
     ///
     /// # Panics
     /// Panics if the location is out of bounds.
-    #[inline]
+    #[inline(always)]
     pub fn read_stripe(&mut self, line: usize, offset: usize) -> &[Option<T>] {
         assert!(
             line < self.spec.num_lines && offset < self.spec.line_size,
@@ -304,7 +305,7 @@ impl<T: Copy> FunctionalBuffer<T> {
     ///
     /// # Panics
     /// Panics if the location is out of bounds.
-    #[inline]
+    #[inline(always)]
     pub fn write_stripe(&mut self, line: usize, offset: usize) -> &mut [Option<T>] {
         assert!(
             line < self.spec.num_lines && offset < self.spec.line_size,

@@ -9,18 +9,16 @@
 //!
 //! * [`BufferSpec`] — the logical `num_lines × line_size` 2-D buffer with its
 //!   banking organization, port counts and `conflict_depth` (§V-A);
-//! * [`ConflictModel`](conflict::ConflictModel) — the bank-conflict slowdown
-//!   assessment used by Layoutloop (§V-B);
-//! * [`FunctionalBuffer`](buffer::FunctionalBuffer) — a data-carrying buffer
-//!   with per-cycle access legality checks and statistics;
-//! * [`LayoutStore`](store::LayoutStore) — a tensor stored in a buffer under a
+//! * [`ConflictModel`] — the bank-conflict slowdown assessment used by
+//!   Layoutloop (§V-B);
+//! * [`FunctionalBuffer`] — a data-carrying buffer with per-cycle access
+//!   legality checks and statistics;
+//! * [`LayoutStore`] — a tensor stored in a buffer under a
 //!   [`Layout`](feather_arch::layout::Layout), addressed by logical
 //!   coordinates;
-//! * [`PingPong`](pingpong::PingPong) — the double-buffering wrapper used by
-//!   FEATHER's StaB/StrB;
-//! * [`ScratchRegion`](scratch::ScratchRegion) — the shortcut staging area a
-//!   graph executor parks residual branch tensors in, with separate traffic
-//!   accounting.
+//! * [`PingPong`] — the double-buffering wrapper used by FEATHER's StaB/StrB;
+//! * [`ScratchRegion`] — the shortcut staging area a graph executor parks
+//!   residual branch tensors in, with separate traffic accounting.
 //!
 //! # Example
 //!

@@ -161,6 +161,12 @@ impl<'a, T: Copy> LayoutView<'a, T> {
         self.buffer.stats()
     }
 
+    /// Number of data lanes per cell of the underlying buffer (see
+    /// [`FunctionalBuffer::lanes`]).
+    pub fn lanes(&self) -> usize {
+        self.buffer.lanes()
+    }
+
     /// Physical location of a coordinate under this view's layout.
     pub fn location(&self, coord: &BTreeMap<Dim, usize>) -> Location {
         self.layout.location(coord, self.dim_sizes)
@@ -237,7 +243,7 @@ impl<'a, T: Copy> LayoutView<'a, T> {
         self.buffer.poke(loc.line, loc.offset, value);
     }
 
-    // --- Lane-stripe accessors (batched replay) --------------------------
+    // --- Lane-stripe accessors (the executor's conv core) ----------------
     //
     // One accounted access moves a whole batch's worth of data; see
     // `FunctionalBuffer::read_stripe` for the accounting contract.

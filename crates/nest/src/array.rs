@@ -1,5 +1,7 @@
 //! The 2-D NEST PE array.
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use crate::pe::ProcessingElement;
@@ -27,11 +29,12 @@ pub struct NestArray {
     pes: Vec<ProcessingElement>,
     fires: u64,
     lanes: usize,
-    /// Per-PE lane-striped accumulators for the batched replay backend: the
-    /// stripe of PE `(row, col)` lives at `index(row, col) * lanes ..`. One
-    /// lane carries one batch sample; the PEs' own accumulators and activity
-    /// counters keep describing a single sample, so the scalar accounting is
-    /// untouched.
+    /// Per-PE lane-striped accumulators behind [`NestArray::mac_stripe`] and
+    /// [`NestArray::fire_row_stripe`]: the stripe of PE `(row, col)` lives at
+    /// `index(row, col) * lanes ..`, one batch sample per lane. The PEs' own
+    /// accumulators back the single-value [`NestArray::mac`] and
+    /// [`NestArray::fire_row`]; the activity counters describe one sample
+    /// either way.
     lane_accs: Vec<i32>,
 }
 
@@ -126,72 +129,81 @@ impl NestArray {
         self.pe_mut(row, col).mac(iact, weight_index);
     }
 
-    /// Performs one Phase-1 MAC across all lanes of a PE: the weight is read
-    /// once, every lane's input activation multiplies against it into that
-    /// lane's accumulator, and the PE's `mac_count` advances by **one** — the
-    /// activity of a single sample, which is what each lane's report clones.
+    /// Performs one Phase-1 MAC across all lanes of PEs `(rows, col)`: one
+    /// iAct stripe broadcast down part of a column (the dense dataflow shares
+    /// an iAct across rows; a single PE is `row..row + 1`). Each PE reads its
+    /// weight once, every lane's input activation multiplies against it into
+    /// that lane's accumulator, and the PE's `mac_count` advances by **one**
+    /// — the activity of a single sample, which is what each lane's report
+    /// clones.
     ///
     /// # Panics
-    /// Panics if `weight_index` is out of range of the active weights or
-    /// `iacts` is not one value per lane.
-    #[inline]
-    pub fn mac_stripe(&mut self, row: usize, col: usize, iacts: &[i8], weight_index: usize) {
-        assert_eq!(iacts.len(), self.lanes, "one iAct per lane");
-        let idx = self.index(row, col);
-        let w = self.pes[idx].active_weights()[weight_index] as i32;
-        self.pes[idx].mac_count += 1;
-        let base = idx * self.lanes;
-        for (acc, &iact) in self.lane_accs[base..base + self.lanes]
-            .iter_mut()
-            .zip(iacts)
-        {
-            *acc += iact as i32 * w;
+    /// Panics if a PE is out of range, `weight_index` is out of range of the
+    /// active weights, or `iacts` is not one value per lane.
+    #[inline(always)]
+    pub fn mac_stripe(
+        &mut self,
+        rows: Range<usize>,
+        col: usize,
+        iacts: &[i8],
+        weight_index: usize,
+    ) {
+        let lanes = iacts.len();
+        assert_eq!(lanes, self.lanes, "one iAct per lane");
+        assert!(
+            rows.end <= self.rows && col < self.cols,
+            "PEs ({rows:?},{col}) out of range"
+        );
+        for row in rows {
+            let idx = row * self.cols + col;
+            let pe = &mut self.pes[idx];
+            let w = pe.active_weights()[weight_index] as i32;
+            pe.mac_count += 1;
+            for (acc, &iact) in self.lane_accs[idx * lanes..(idx + 1) * lanes]
+                .iter_mut()
+                .zip(iacts)
+            {
+                *acc += iact as i32 * w;
+            }
         }
     }
 
     /// Fires one row: drains the accumulators of every PE in the row onto the
     /// column buses (Phase 2). `mapped` marks which columns actually carry
     /// data under the current dataflow; unmapped columns yield `None`.
-    pub fn fire_row(&mut self, row: usize, mapped: &[bool]) -> RowFire {
-        let mut values = vec![None; self.cols];
-        self.fire_row_into(row, mapped, &mut values);
-        RowFire { row, values }
-    }
-
-    /// [`NestArray::fire_row`] writing into caller-owned scratch instead of
-    /// allocating a fresh bus vector — the hot-loop variant: the executor
-    /// fires one row per (pixel, tile) step, millions of times per layer.
     ///
     /// # Panics
-    /// Panics if `mapped` or `bus` do not have one entry per column.
-    pub fn fire_row_into(&mut self, row: usize, mapped: &[bool], bus: &mut [Option<i32>]) {
+    /// Panics if `mapped` does not have one entry per column.
+    pub fn fire_row(&mut self, row: usize, mapped: &[bool]) -> RowFire {
         assert_eq!(
             mapped.len(),
             self.cols,
             "mapped mask must have one entry per column"
         );
-        assert_eq!(bus.len(), self.cols, "bus must have one slot per column");
-        for (col, slot) in bus.iter_mut().enumerate() {
-            // Unmapped PEs drain anyway so stale partial sums never leak into
-            // the next tile, but put nothing on the bus.
-            let value = self.pe_mut(row, col).fire();
-            *slot = if mapped[col] { Some(value) } else { None };
-        }
+        let values = (0..self.cols)
+            .map(|col| {
+                // Unmapped PEs drain anyway so stale partial sums never leak
+                // into the next tile, but put nothing on the bus.
+                let value = self.pe_mut(row, col).fire();
+                mapped[col].then_some(value)
+            })
+            .collect();
         self.fires += 1;
+        RowFire { row, values }
     }
 
-    /// [`NestArray::fire_row_into`] across all lanes: drains every column's
+    /// [`NestArray::fire_row`] across all lanes: drains every column's
     /// lane-striped accumulators of `row` onto the bus (column-major stripes,
     /// so column `c` lane `l` lands at `bus[c * lanes + l]`). Unmapped
     /// columns drain too — stale partial sums never leak into the next tile —
     /// but the caller's `mapped` mask governs which stripes carry data, the
-    /// batched analogue of the scalar path's `None` bus slots. Counts one
-    /// fire, matching a single sample's activity.
+    /// stripe analogue of `fire_row`'s `None` bus slots. Counts one fire,
+    /// matching a single sample's activity.
     ///
     /// # Panics
     /// Panics if `mapped` is not one entry per column or `bus` is not
     /// `cols * lanes` long.
-    #[inline]
+    #[inline(always)]
     pub fn fire_row_stripe(&mut self, row: usize, mapped: &[bool], bus: &mut [i32]) {
         assert_eq!(
             mapped.len(),
@@ -281,7 +293,7 @@ mod tests {
                 let iacts: Vec<i8> = (0..lanes)
                     .map(|lane| (lane as i8 + 1) * (col as i8 - 1))
                     .collect();
-                batched.mac_stripe(0, col, &iacts, widx);
+                batched.mac_stripe(0..1, col, &iacts, widx);
                 for (solo, &iact) in solos.iter_mut().zip(&iacts) {
                     solo.mac(0, col, iact, widx);
                 }

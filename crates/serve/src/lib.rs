@@ -33,7 +33,7 @@
 //!   [`feather::Program`] (checking the `FEATHER_CACHE_DIR` artifact cache
 //!   first); every later batch, whatever its size, replays that one resident
 //!   [`feather::ProgramSession`] with zero planning or per-layer dispatch
-//!   work — a single request on the scalar replay, several in lane lockstep.
+//!   work, as one lane-lockstep replay call with request `i` on lane `i`.
 //!   [`ProgramCacheStats`] exposes the hit/miss counters, and each worker
 //!   reuses a [`feather::ReplayScratch`] per (model, batch size) so
 //!   steady-state replay allocates no buffer memory either.

@@ -28,12 +28,10 @@
 //! (consulting the `FEATHER_CACHE_DIR` artifact cache first), and every
 //! later batch replays the cached [`ProgramSession`] with zero planning,
 //! hashing or per-layer dispatch work — [`ProgramCacheStats`] counts exactly
-//! that. A single-request batch takes the scalar replay
-//! ([`ProgramSession::run_with_scratch`]); a batch of `N ≥ 2` requests takes
-//! the lane-vectorized replay ([`ProgramSession::run_batched_with_scratch`])
-//! with request `i` on lane `i`. Each worker keeps a [`ReplayScratch`] per
-//! (model, batch size) it has served, so steady-state replay allocates no
-//! buffer memory either.
+//! that. Every batch, whatever its size, is one lane-vectorized replay
+//! ([`ProgramSession::run_batched_with_scratch`]) with request `i` on lane
+//! `i`. Each worker keeps a [`ReplayScratch`] per (model, batch size) it has
+//! served, so steady-state replay allocates no buffer memory either.
 //!
 //! The server is **fault tolerant**. Replays run under `catch_unwind`: a
 //! panicking worker resolves only its own batch (retrying members with
@@ -1395,18 +1393,12 @@ fn execute_batch(
                 }
             }
         }
-        let runs = if let [request] = live.as_slice() {
-            // One request: the scalar replay is the faster single lane.
-            program
-                .run_with_scratch(scratch, &request.iacts, &model.weights)
-                .map(|run| vec![run])
-        } else {
-            // Request `i` rides lane `i` of one batch-1 replay and gets back
-            // its own exact solo outputs and report.
-            let inputs: Vec<Tensor4<i8>> = live.iter().map(|r| r.iacts.clone()).collect();
-            program.run_batched_with_scratch(scratch, &inputs, &model.weights)
-        };
-        runs.map_err(ServeError::Exec)
+        // Request `i` rides lane `i` of one batch-1 replay and gets back its
+        // own exact solo outputs and report.
+        let inputs: Vec<Tensor4<i8>> = live.iter().map(|r| r.iacts.clone()).collect();
+        program
+            .run_batched_with_scratch(scratch, &inputs, &model.weights)
+            .map_err(ServeError::Exec)
     }));
     inner.executing.fetch_sub(1, Ordering::SeqCst);
     // Feed the admission-side service-rate estimate (quarter-weight EWMA).

@@ -5,6 +5,7 @@
 //! DRAM traffic, scratch accounting and join saturation counts. The artifact
 //! form (save → load → recompile routes) must preserve all of it too.
 
+use feather::graph_session::run_graph_reference;
 use feather::{FeatherConfig, GraphSession, ProgramSession};
 use feather_arch::graph::{resnet50_graph_scaled, Graph};
 use feather_arch::tensor::Tensor4;
@@ -132,10 +133,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Batched lane-vectorized replay == N solo scalar replays — outputs AND
-    /// the full `GraphRun` report (cycles, DRAM traffic, scratch accounting,
-    /// join saturation) — for batches of 1, 2, 4 and 8 samples, serial and
-    /// sharded, on random residual DAGs.
+    /// Every lane of a lane-vectorized replay equals its own sample's
+    /// independent references: outputs equal `run_graph_reference`, and the
+    /// full `GraphRun` report (cycles, DRAM traffic, scratch accounting, join
+    /// saturation) equals the interpreter's solo run — for batches of 1, 2,
+    /// 4 and 8 samples, serial and sharded, on random residual DAGs.
     #[test]
     fn batched_replay_equals_solo_replays(
         c0 in 1usize..4,
@@ -150,29 +152,38 @@ proptest! {
         let session = GraphSession::auto(FeatherConfig::new(4, 4), &g).unwrap();
         let weights = g.random_weights(seed + 2000);
         let replay = ProgramSession::new(session.compile().unwrap());
+        let (shift, zero) = session.quantization();
 
         let samples: Vec<Tensor4<i8>> = (0..8)
             .map(|i| Tensor4::random([1, c0, hw, hw], seed + i))
             .collect();
-        let solos: Vec<_> = samples
+        let goldens: Vec<_> = samples
             .iter()
-            .map(|s| replay.run(s, &weights).unwrap())
+            .map(|s| run_graph_reference(&g, s, &weights, shift, zero).unwrap())
+            .collect();
+        let interpreted: Vec<_> = samples
+            .iter()
+            .map(|s| session.run(s, &weights).unwrap())
             .collect();
 
         for lanes in [1usize, 2, 4, 8] {
-            let batched = replay.run_batched(&samples[..lanes], &weights).unwrap();
-            prop_assert_eq!(batched.len(), lanes);
-            for (lane, (b, solo)) in batched.iter().zip(&solos).enumerate() {
-                prop_assert_eq!(&b.oacts, &solo.oacts, "lane {} outputs", lane);
-                prop_assert_eq!(&b.report, &solo.report, "lane {} report", lane);
-            }
+            let serial = replay.run_batched(&samples[..lanes], &weights).unwrap();
             let sharded = ProgramSession::from_arc(replay.program().clone())
                 .with_threads(3)
                 .run_batched(&samples[..lanes], &weights)
                 .unwrap();
-            for (lane, (b, solo)) in sharded.iter().zip(&solos).enumerate() {
-                prop_assert_eq!(&b.oacts, &solo.oacts, "lane {} sharded outputs", lane);
-                prop_assert_eq!(&b.report, &solo.report, "lane {} sharded report", lane);
+            for (mode, runs) in [("serial", &serial), ("sharded", &sharded)] {
+                prop_assert_eq!(runs.len(), lanes);
+                for (lane, run) in runs.iter().enumerate() {
+                    prop_assert_eq!(&run.oacts, &goldens[lane], "{} lane {} outputs", mode, lane);
+                    prop_assert_eq!(
+                        &run.report,
+                        &interpreted[lane].report,
+                        "{} lane {} report",
+                        mode,
+                        lane
+                    );
+                }
             }
         }
     }
