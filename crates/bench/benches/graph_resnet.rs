@@ -13,8 +13,9 @@ fn bench_graph_resnet(c: &mut Criterion) {
     // Channels/16, spatial/16 keeps one full-graph iteration in the
     // millisecond range while preserving all 53 convs and 16 joins.
     // Planning (`GraphSession::auto`) and ahead-of-time compilation
-    // (`compile()`) happen here, outside every measured loop, so the
-    // scenarios isolate execution cost from one-time setup.
+    // (`compile()`, the data-free lowering) happen here, outside every
+    // measured loop, so the scenarios isolate execution cost from one-time
+    // setup. `graph_session` times the interpreter (`run_interpreted`).
     let graph = resnet50_graph_scaled(16, 16);
     let session = GraphSession::auto(FeatherConfig::new(8, 16), &graph)
         .expect("scaled resnet50 graph compiles");
@@ -24,7 +25,9 @@ fn bench_graph_resnet(c: &mut Criterion) {
     let replay = ProgramSession::new(session.compile().expect("graph lowers to a program"));
 
     // DRAM traffic comparison (identical on every iteration — print once).
-    let run = session.run(&iacts, &weights).expect("graph executes");
+    let run = session
+        .run_interpreted(&iacts, &weights)
+        .expect("graph executes");
     println!(
         "graph_resnet DRAM activation traffic: pipelined {} B vs layer-at-a-time {} B \
          ({:.0}% saved); shortcut scratch {} B, {} joins",
@@ -45,7 +48,7 @@ fn bench_graph_resnet(c: &mut Criterion) {
     let mut group = c.benchmark_group("graph_resnet");
     group.sample_size(10);
     group.bench_function("graph_session", |b| {
-        b.iter(|| session.run(&iacts, &weights).unwrap())
+        b.iter(|| session.run_interpreted(&iacts, &weights).unwrap())
     });
     group.bench_function("program_replay", |b| {
         b.iter(|| replay.run(&iacts, &weights).unwrap())

@@ -140,15 +140,19 @@ const REPLAY_LANES: usize = 8;
 
 fn graph_resnet(iters: usize) -> (Snapshot, Snapshot, Snapshot) {
     // Identical graph to the `graph_resnet` Criterion bench. Planning
-    // (`GraphSession::auto`) and compilation (`compile()`) both happen here,
-    // outside the measured loops, so the scenarios isolate execution cost.
+    // (`GraphSession::auto`) and compilation (`compile()`, the data-free
+    // lowering) both happen here, outside the measured loops, so the
+    // scenarios isolate execution cost. The `graph_session` row times the
+    // interpreter (`run_interpreted`), the oracle replay is checked against.
     let graph = resnet50_graph_scaled(16, 16);
     let session = GraphSession::auto(FeatherConfig::new(8, 16), &graph)
         .expect("scaled resnet50 graph compiles");
     let [_, ch, h, w] = graph.tensor_shape(graph.input());
     let iacts = Tensor4::random([1, ch, h, w], 7);
     let weights = graph.random_weights(8);
-    let run = session.run(&iacts, &weights).expect("graph executes");
+    let run = session
+        .run_interpreted(&iacts, &weights)
+        .expect("graph executes");
 
     let compile_start = Instant::now();
     let program = session.compile().expect("graph compiles to a program");
@@ -159,7 +163,7 @@ fn graph_resnet(iters: usize) -> (Snapshot, Snapshot, Snapshot) {
     assert_eq!(replayed.oacts, run.oacts, "replay outputs diverged");
     assert_eq!(replayed.report, run.report, "replay report diverged");
     println!(
-        "graph_resnet compile: {compile_ms:.1} ms once, {} ops, {} route fires",
+        "graph_resnet compile (data-free lowering): {compile_ms:.1} ms once, {} ops, {} route fires",
         replay.program().num_ops(),
         replay.program().route_fires()
     );
@@ -191,7 +195,9 @@ fn graph_resnet(iters: usize) -> (Snapshot, Snapshot, Snapshot) {
         Snapshot {
             name: "graph_resnet/graph_session",
             wall_ms: median_ms(iters, || {
-                session.run(&iacts, &weights).expect("graph executes");
+                session
+                    .run_interpreted(&iacts, &weights)
+                    .expect("graph executes");
             }),
             cycles: run.report.total_cycles(),
             dram_bytes: run.report.dram_bytes(),

@@ -153,10 +153,10 @@ impl RouteCache {
         }
     }
 
-    /// Resolves a request to its compiled program: worker-local map, then the
-    /// shared map, then route + compile (publishing the result to both). The
-    /// request is borrowed so the caller can reuse one scratch request across
-    /// fires; it is only cloned on the rare local-map miss.
+    /// Resolves a request to its compiled program: worker-local map, then
+    /// [`RouteCache::resolve`] (publishing the result to both). The request is
+    /// borrowed so the caller can reuse one scratch request across fires; it
+    /// is only cloned on the rare local-map miss.
     fn lookup(
         &self,
         birrd: &Birrd,
@@ -166,6 +166,18 @@ impl RouteCache {
         if let Some(hit) = local.get(request) {
             return Ok(hit.clone());
         }
+        let compiled = self.resolve(birrd, request)?;
+        local.insert(request.clone(), compiled.clone());
+        Ok(compiled)
+    }
+
+    /// Resolves a request through the shared map, routing and compiling it
+    /// (and publishing the program) on a miss.
+    fn resolve(
+        &self,
+        birrd: &Birrd,
+        request: &ReductionRequest,
+    ) -> Result<Arc<CompiledRoute>, ArchError> {
         let shared_hit = self
             .shared
             .read()
@@ -173,25 +185,17 @@ impl RouteCache {
             .routes
             .get(request)
             .cloned();
-        let compiled = match shared_hit {
+        Ok(match shared_hit {
             Some(hit) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 hit
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                let config = birrd
-                    .route(request)
-                    .map_err(|e| ArchError::InvalidDataflow(e.to_string()))?;
-                let compiled = Arc::new(
-                    CompiledRoute::compile(birrd.topology(), &config)
-                        .expect("routed configuration always matches the network shape"),
-                );
+                let compiled = Arc::new(route_and_compile(birrd, request)?);
                 self.publish(request, compiled)
             }
-        };
-        local.insert(request.clone(), compiled.clone());
-        Ok(compiled)
+        })
     }
 
     /// Installs a freshly-compiled program in the shared map, evicting the
@@ -218,128 +222,247 @@ impl RouteCache {
     }
 }
 
-/// Records the exact sequence of compiled routes a serial layer pass
-/// consumes, for ahead-of-time compilation ([`crate::program`]).
-///
-/// Routes are a pure function of layer geometry (the mapped-lane pattern and
-/// the oAct layout's bank assignment), never of data, so one zero-input
-/// collect pass captures the stream any future run will consume. The stream
-/// is stored as indices into a deduplicated slot table — the replay path
-/// borrows `&CompiledRoute` straight from the slot, with no hashing and no
-/// `Arc` traffic.
-#[derive(Debug, Default)]
-pub(crate) struct RouteRecorder {
-    slot_of: HashMap<ReductionRequest, u32>,
-    slots: Vec<Arc<CompiledRoute>>,
-    requests: Vec<ReductionRequest>,
-    stream: Vec<u32>,
-    block_starts: Vec<u32>,
+/// The exact, compact identity of one BIRRD pass: for each group of the
+/// pass, in order, its `q_lane`, its destination bank and the mapped-lane
+/// bits of its `c_cols`-wide column span (`c_cols.div_ceil(32)` words). Every
+/// group maps at least one lane, so a key and the pass's [`ReductionRequest`]
+/// determine each other one-to-one, for any `c_cols` — the key is what the
+/// lowering memoizes routes under and what a [`RouteStream`] keeps resident,
+/// at a fraction of the request's size.
+type RouteKey = Box<[u32]>;
+
+/// Words one group occupies in a [`RouteKey`].
+fn key_stride(c_cols: usize) -> usize {
+    2 + c_cols.div_ceil(32)
 }
 
-impl RouteRecorder {
-    pub(crate) fn new() -> Self {
-        RouteRecorder::default()
+/// Writes the [`RouteKey`] of the pass `batch` into the reusable `key`.
+fn encode_key(key: &mut Vec<u32>, batch: &[FireGroup], mapped: &[bool], c_cols: usize) {
+    key.clear();
+    for g in batch {
+        key.push(g.q_lane as u32);
+        key.push(g.bank as u32);
+        push_lane_bits(key, &mapped[g.q_lane * c_cols..][..c_cols]);
     }
+}
 
-    /// Marks the start of work block `block` (one `(wt_m, wt_c, n)` triple).
-    /// The serial collect pass visits blocks in order, so the start offsets
-    /// land densely; sharded replay workers jump their cursor to
-    /// `block_starts[block]` when they pick up a block mid-stream.
-    fn enter_block(&mut self, block: usize) {
-        debug_assert_eq!(
-            block,
-            self.block_starts.len(),
-            "collect pass must visit blocks in order"
+/// Appends a span's mapped-lane flags as 32-bit words, lane `i` at bit
+/// `i % 32` of word `i / 32`.
+fn push_lane_bits(key: &mut Vec<u32>, span: &[bool]) {
+    for word in span.chunks(32) {
+        key.push(
+            word.iter()
+                .enumerate()
+                .fold(0, |bits, (i, &live)| bits | (u32::from(live) << i)),
         );
-        self.block_starts.push(self.stream.len() as u32);
     }
+}
 
-    fn record(&mut self, request: &ReductionRequest, route: &Arc<CompiledRoute>) {
-        let slot = match self.slot_of.get(request) {
-            Some(&slot) => slot,
-            None => {
-                let slot = self.slots.len() as u32;
-                self.slot_of.insert(request.clone(), slot);
-                self.slots.push(route.clone());
-                self.requests.push(request.clone());
-                slot
+/// An empty request over a `cols`-wide array.
+fn blank_request(cols: usize) -> ReductionRequest {
+    ReductionRequest {
+        input_groups: vec![None; cols],
+        group_destinations: BTreeMap::new(),
+    }
+}
+
+/// Overwrites `request` (a [`blank_request`] of the array width) with the
+/// request a [`RouteKey`] stands for: group `gid` gathers the mapped lanes of
+/// its span and reduces into its bank.
+fn expand_key(request: &mut ReductionRequest, key: &[u32], c_cols: usize) {
+    request.input_groups.fill(None);
+    request.group_destinations.clear();
+    for (gid, group) in key.chunks(key_stride(c_cols)).enumerate() {
+        let lane = group[0] as usize * c_cols;
+        for c in 0..c_cols {
+            if (group[2 + c / 32] >> (c % 32)) & 1 == 1 {
+                request.input_groups[lane + c] = Some(gid);
             }
-        };
-        self.stream.push(slot);
-    }
-
-    pub(crate) fn into_stream(self) -> RouteStream {
-        RouteStream {
-            slots: self.slots,
-            requests: self.requests,
-            stream: self.stream,
-            block_starts: self.block_starts,
         }
+        request.group_destinations.insert(gid, group[1] as usize);
     }
+}
+
+/// The [`RouteKey`] of a request, or `None` when no pass of this layer
+/// shape can produce it (the key must expand back to the very same request).
+fn key_of(request: &ReductionRequest, cols: usize, c_cols: usize) -> Option<RouteKey> {
+    let mut key = Vec::with_capacity(request.group_destinations.len() * key_stride(c_cols));
+    for (gid, (&dest_gid, &bank)) in request.group_destinations.iter().enumerate() {
+        if dest_gid != gid {
+            return None;
+        }
+        let q_lane = request.input_groups.iter().position(|&g| g == Some(gid))? / c_cols;
+        key.push(q_lane as u32);
+        key.push(bank as u32);
+        let span = request
+            .input_groups
+            .get(q_lane * c_cols..(q_lane + 1) * c_cols)?;
+        let live: Vec<bool> = span.iter().map(|&g| g == Some(gid)).collect();
+        push_lane_bits(&mut key, &live);
+    }
+    let mut expanded = blank_request(cols);
+    expand_key(&mut expanded, &key, c_cols);
+    (expanded == *request).then(|| key.into())
 }
 
 /// A frozen route consumption sequence for one layer: the deduplicated
-/// compiled programs (`slots`), the originating requests (kept so a program
+/// compiled programs (`slots`), their [`RouteKey`]s (kept so a program
 /// artifact can be serialized and the routes deterministically recompiled on
 /// load), the per-fire slot indices in serial order, and the stream offset at
-/// which each `(wt_m, wt_c, n)` work block begins.
+/// which each `(wt_m, wt_c, n)` work block begins. The replay path borrows
+/// `&CompiledRoute` straight from the slot, with no hashing and no `Arc`
+/// traffic.
 #[derive(Debug, Clone)]
 pub(crate) struct RouteStream {
     pub(crate) slots: Vec<Arc<CompiledRoute>>,
-    pub(crate) requests: Vec<ReductionRequest>,
+    keys: Vec<RouteKey>,
     pub(crate) stream: Vec<u32>,
     pub(crate) block_starts: Vec<u32>,
 }
 
 impl RouteStream {
+    /// The request behind every slot, in slot order.
+    pub(crate) fn requests<'a>(
+        &'a self,
+        ctx: &'a LayerExec,
+    ) -> impl Iterator<Item = ReductionRequest> + 'a {
+        self.keys.iter().map(|key| {
+            let mut request = blank_request(ctx.cols);
+            expand_key(&mut request, key, ctx.c_cols);
+            request
+        })
+    }
+
     /// Rebuilds a stream from its serialized parts by re-routing every
     /// request (routing is deterministic, so the recompiled programs are
     /// identical to the recorded ones).
     pub(crate) fn recompile(
-        birrd: &Birrd,
+        ctx: &LayerExec,
         requests: Vec<ReductionRequest>,
         stream: Vec<u32>,
         block_starts: Vec<u32>,
     ) -> Result<Self, ArchError> {
-        let slots = requests
+        let invalid = |what: &str| ArchError::InvalidDataflow(format!("route stream {what}"));
+        let keys = requests
             .iter()
             .map(|request| {
-                let config = birrd
-                    .route(request)
-                    .map_err(|e| ArchError::InvalidDataflow(e.to_string()))?;
-                Ok(Arc::new(
-                    CompiledRoute::compile(birrd.topology(), &config)
-                        .expect("routed configuration always matches the network shape"),
-                ))
+                key_of(request, ctx.cols, ctx.c_cols)
+                    .ok_or_else(|| invalid("holds a request no pass of the layer makes"))
             })
             .collect::<Result<Vec<_>, ArchError>>()?;
-        for &slot in &stream {
-            if slot as usize >= slots.len() {
-                return Err(ArchError::InvalidDataflow(
-                    "route stream references an out-of-range slot".into(),
-                ));
-            }
+        let slots = requests
+            .iter()
+            .map(|request| route_and_compile(&ctx.birrd, request).map(Arc::new))
+            .collect::<Result<Vec<_>, ArchError>>()?;
+        if stream.iter().any(|&slot| slot as usize >= slots.len()) {
+            return Err(invalid("references an out-of-range slot"));
         }
         Ok(RouteStream {
             slots,
-            requests,
+            keys,
             stream,
             block_starts,
         })
     }
 }
 
+/// Routes a request and lowers the configuration to a compiled program.
+fn route_and_compile(
+    birrd: &Birrd,
+    request: &ReductionRequest,
+) -> Result<CompiledRoute, ArchError> {
+    let config = birrd
+        .route(request)
+        .map_err(|e| ArchError::InvalidDataflow(e.to_string()))?;
+    Ok(CompiledRoute::compile(birrd.topology(), &config)
+        .expect("routed configuration always matches the network shape"))
+}
+
+/// Lowers one layer's [`RouteStream`] without executing it: walks the serial
+/// fire schedule — `(wt_m, wt_c, n)` blocks, then `p`, `qt`, `m_lane`, then
+/// each row fire's bank-unique passes — with no MACs, no buffers and no
+/// weights. Routes are a pure function of layer geometry (the mapped-lane
+/// pattern and the oAct layout's bank assignment), never of data, so this is
+/// exactly the stream any run consumes. Each pass is memoized under its
+/// exact [`RouteKey`]; a request is built, and resolved through `cache`,
+/// only the first time a key appears.
+pub(crate) fn lower_routes(ctx: &LayerExec, cache: &RouteCache) -> Result<RouteStream, ArchError> {
+    let mut mapped_table = vec![false; ctx.q_tiles * ctx.m_rows * ctx.cols];
+    let mut passes = FirePasses::new(ctx);
+    let mut slot_of: HashMap<RouteKey, u32> = HashMap::new();
+    let mut slots: Vec<Arc<CompiledRoute>> = Vec::new();
+    let mut stream: Vec<u32> = Vec::new();
+    let mut block_starts: Vec<u32> = Vec::with_capacity(ctx.block_count());
+    let mut key: Vec<u32> = Vec::new();
+    let mut request = blank_request(ctx.cols);
+    let m_total = ctx.layer.m;
+    for wt_m in 0..ctx.m_tiles {
+        // Rows past the last output channel fire no live outputs.
+        let m_lanes = ctx.m_rows.min(m_total - wt_m * ctx.m_rows);
+        for wt_c in 0..ctx.c_tiles {
+            map_tile_lanes(ctx, wt_m, wt_c, &mut mapped_table);
+            for n in 0..ctx.layer.n {
+                block_starts.push(stream.len() as u32);
+                for p in 0..ctx.p_total {
+                    for qt in 0..ctx.q_tiles {
+                        for m_lane in 0..m_lanes {
+                            let m = wt_m * ctx.m_rows + m_lane;
+                            let mapped = tile_lanes(ctx, &mapped_table, qt, m_lane);
+                            passes.for_each(ctx, mapped, [n, m, p, qt], |batch, _| {
+                                encode_key(&mut key, batch, mapped, ctx.c_cols);
+                                let slot = match slot_of.get(&key[..]) {
+                                    Some(&slot) => slot,
+                                    None => {
+                                        expand_key(&mut request, &key, ctx.c_cols);
+                                        slots.push(cache.resolve(&ctx.birrd, &request)?);
+                                        let slot = slots.len() as u32 - 1;
+                                        slot_of.insert(key.as_slice().into(), slot);
+                                        slot
+                                    }
+                                };
+                                stream.push(slot);
+                                Ok(())
+                            })?;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let mut keys = vec![RouteKey::default(); slots.len()];
+    for (key, slot) in slot_of {
+        keys[slot as usize] = key;
+    }
+    Ok(RouteStream {
+        slots,
+        keys,
+        stream,
+        block_starts,
+    })
+}
+
 /// How `run_conv_core` resolves reduce-reorder routes for a layer pass.
+#[derive(Clone, Copy)]
 pub(crate) enum RouteExecution<'a> {
     /// Interpreted path: hash each request through the shared [`RouteCache`]
     /// (with a worker-local L1 in front).
     Cached(&'a RouteCache),
-    /// Compile path: like `Cached`, but also record the serial consumption
-    /// order into a [`RouteRecorder`]. Forces a single worker.
-    Collect(&'a RouteCache, &'a mut RouteRecorder),
     /// Replay path: consume a prerecorded [`RouteStream`] cursor-style —
     /// no request building, no hashing, no `Arc` clones.
     Replay(&'a RouteStream),
+}
+
+impl<'a> RouteExecution<'a> {
+    /// A worker's private resolution state.
+    fn span_routes(self) -> SpanRoutes<'a> {
+        match self {
+            RouteExecution::Cached(cache) => SpanRoutes::Cached {
+                cache,
+                local: LocalRoutes::new(),
+            },
+            RouteExecution::Replay(stream) => SpanRoutes::Replay { stream, pos: 0 },
+        }
+    }
 }
 
 /// The per-worker view of a [`RouteExecution`].
@@ -348,60 +471,10 @@ enum SpanRoutes<'a> {
         cache: &'a RouteCache,
         local: LocalRoutes,
     },
-    Collect {
-        cache: &'a RouteCache,
-        local: LocalRoutes,
-        recorder: &'a mut RouteRecorder,
-    },
     Replay {
         stream: &'a RouteStream,
         pos: usize,
     },
-}
-
-/// The shareable (`Copy`) subset of [`RouteExecution`] handed to sharded
-/// workers; `Collect` is excluded because recording is inherently serial.
-#[derive(Clone, Copy)]
-enum WorkerRoutes<'a> {
-    Cached(&'a RouteCache),
-    Replay(&'a RouteStream),
-}
-
-impl<'a> WorkerRoutes<'a> {
-    fn span_routes(self) -> SpanRoutes<'a> {
-        match self {
-            WorkerRoutes::Cached(cache) => SpanRoutes::Cached {
-                cache,
-                local: LocalRoutes::new(),
-            },
-            WorkerRoutes::Replay(stream) => SpanRoutes::Replay { stream, pos: 0 },
-        }
-    }
-}
-
-/// Fills the reusable scratch `request` from the current fire batch: lane
-/// spans of every batched group plus their destination banks.
-fn fill_request(
-    request: &mut ReductionRequest,
-    batch: &[FireGroup],
-    mapped: &[bool],
-    c_cols: usize,
-) {
-    request.input_groups.fill(None);
-    request.group_destinations.clear();
-    for (gid, g) in batch.iter().enumerate() {
-        let lane = g.q_lane * c_cols;
-        let span = lane..lane + c_cols;
-        for (live, slot) in mapped[span.clone()]
-            .iter()
-            .zip(&mut request.input_groups[span])
-        {
-            if *live {
-                *slot = Some(gid);
-            }
-        }
-        request.group_destinations.insert(gid, g.bank);
-    }
 }
 
 /// Number of worker threads the executor uses when none is requested
@@ -557,17 +630,52 @@ impl LayerExec {
         self.m_tiles * self.layer.n
     }
 
-    /// The layer's BIRRD instance (used to re-route recorded requests when
-    /// loading a program artifact).
-    pub(crate) fn birrd(&self) -> &Birrd {
-        &self.birrd
-    }
-
     /// Number of `(wt_m, wt_c, n)` work blocks a recorded route stream must
     /// cover — one entry per `RouteStream::block_starts` slot.
     pub(crate) fn block_count(&self) -> usize {
         self.m_tiles * self.c_tiles * self.layer.n
     }
+
+    /// The `(N, C, H, W)` location plan of the layer's iAct view.
+    pub(crate) fn iact_plan(&self) -> &LocationPlan4 {
+        &self.iact_plan
+    }
+
+    /// The `(N, M, P, Q)` location plan of the layer's oAct view.
+    pub(crate) fn oact_plan(&self) -> &LocationPlan4 {
+        &self.oact_plan
+    }
+}
+
+/// Fills the lane-mapping masks of weight tile `(wt_m, wt_c)`: one
+/// `cols`-wide row per `(qt, m_lane)` pair, `true` where the column's PE
+/// holds a live `(m, c)` weight for an in-range output column. The masks
+/// depend only on the tile and those two indices — not on `(n, p)` — so the
+/// schedule rebuilds them once per tile and merely indexes them per pixel.
+fn map_tile_lanes(ctx: &LayerExec, wt_m: usize, wt_c: usize, table: &mut [bool]) {
+    let layer = &ctx.layer;
+    for qt in 0..ctx.q_tiles {
+        for m_lane in 0..ctx.m_rows {
+            let m = wt_m * ctx.m_rows + m_lane;
+            let row = &mut table[(qt * ctx.m_rows + m_lane) * ctx.cols..][..ctx.cols];
+            for (col, slot) in row.iter_mut().enumerate() {
+                let q_lane = col / ctx.c_cols;
+                let q = qt * ctx.q_cols + q_lane;
+                let c = if ctx.depthwise {
+                    m
+                } else {
+                    wt_c * ctx.c_cols + col % ctx.c_cols
+                };
+                *slot = q_lane < ctx.q_cols && q < ctx.q_total && m < layer.m && c < layer.c;
+            }
+        }
+    }
+}
+
+/// The `(qt, m_lane)` row of a [`map_tile_lanes`] table.
+#[inline(always)]
+fn tile_lanes<'t>(ctx: &LayerExec, table: &'t [bool], qt: usize, m_lane: usize) -> &'t [bool] {
+    &table[(qt * ctx.m_rows + m_lane) * ctx.cols..][..ctx.cols]
 }
 
 /// One reduction group of a row fire: the column-lane span it gathers from,
@@ -577,6 +685,75 @@ struct FireGroup {
     q_lane: usize,
     bank: usize,
     loc: Location,
+}
+
+/// Reusable scratch for splitting a row fire into BIRRD passes.
+struct FirePasses {
+    groups: Vec<FireGroup>,
+    batch: Vec<FireGroup>,
+    pending: Vec<FireGroup>,
+    bank_used: Vec<bool>,
+}
+
+impl FirePasses {
+    fn new(ctx: &LayerExec) -> Self {
+        FirePasses {
+            groups: Vec::with_capacity(ctx.q_cols),
+            batch: Vec::with_capacity(ctx.q_cols),
+            pending: Vec::with_capacity(ctx.q_cols),
+            bank_used: vec![false; ctx.cols],
+        }
+    }
+
+    /// The one definition of a row fire's schedule, shared by execution
+    /// and lowering. Builds the reduction groups of output row `m` at
+    /// `(n, p, qt)` — one per live `q_lane`, destined for the StaB bank its
+    /// oAct lands in under the next layer's layout — and splits them into
+    /// passes with unique destination banks (a concordant mapping needs
+    /// one). Calls `pass(groups, serialized)` once per pass, in order;
+    /// `serialized` is true when another pass follows.
+    #[inline(always)]
+    fn for_each(
+        &mut self,
+        ctx: &LayerExec,
+        mapped: &[bool],
+        [n, m, p, qt]: [usize; 4],
+        mut pass: impl FnMut(&[FireGroup], bool) -> Result<(), ArchError>,
+    ) -> Result<(), ArchError> {
+        self.groups.clear();
+        for q_lane in 0..ctx.q_cols {
+            let q = qt * ctx.q_cols + q_lane;
+            if q >= ctx.q_total {
+                continue;
+            }
+            let lane = q_lane * ctx.c_cols;
+            if !mapped[lane..lane + ctx.c_cols].iter().any(|&b| b) {
+                continue;
+            }
+            let loc = ctx.oact_plan.location([n, m, p, q]);
+            self.groups.push(FireGroup {
+                q_lane,
+                bank: loc.offset % ctx.cols,
+                loc,
+            });
+        }
+        while !self.groups.is_empty() {
+            self.batch.clear();
+            self.pending.clear();
+            self.bank_used.fill(false);
+            for g in self.groups.drain(..) {
+                if !self.bank_used[g.bank] {
+                    self.bank_used[g.bank] = true;
+                    self.batch.push(g);
+                } else {
+                    self.pending.push(g);
+                }
+            }
+            std::mem::swap(&mut self.groups, &mut self.pending);
+            pass(&self.batch, !self.groups.is_empty())?;
+        }
+        Ok(())
+    }
 }
 
 /// Per-worker result: everything needed to reconstruct the serial counters.
@@ -609,7 +786,7 @@ fn lane_count<const L: usize>(view: &LayoutView<'_, i32>) -> usize {
 }
 
 /// The inner tile loop shared by the single-layer entry point, the
-/// network-level pipeline executor, the compile pass and program replay:
+/// network-level pipeline executor and program replay:
 /// weight-stationary tiling over `(M, C)`, Phase-1 local temporal reduction
 /// in NEST, Phase-2 row fires through BIRRD with Reorder-in-Reduction into
 /// the output view.
@@ -622,8 +799,8 @@ fn lane_count<const L: usize>(view: &LayoutView<'_, i32>) -> usize {
 /// buffers' access statistics — describes a single sample, because the
 /// schedule, the routes and the access pattern never depend on the data.
 ///
-/// `routes` selects how reduce-reorder programs are resolved (cached lookup,
-/// cached + record, or replay of a recorded stream).
+/// `routes` selects how reduce-reorder programs are resolved (cached lookup
+/// or replay of a recorded stream).
 /// `expose_first_weight_load` charges the cold weight load of the first
 /// tile; a pipelined layer whose weights were prefetched during the previous
 /// layer passes `false`. `threads` requests an exact worker count (`Some(1)`
@@ -645,7 +822,7 @@ pub(crate) fn run_conv_core(
     );
     let workers = effective_workers(threads, &ctx.layer, ctx.units());
     // The one place the lane count picks an instantiation: the single lane
-    // (interpreter, compile pass, one-sample replay) gets its own, in which
+    // (interpreter, one-sample replay) gets its own, in which
     // every per-lane loop folds to straight-line code.
     let spans = if iact.lanes() == 1 {
         run_worker_spans::<1>(ctx, weights, workers, iact, oact, routes)?
@@ -714,8 +891,6 @@ fn reference_macs(layer: &ConvLayer) -> u64 {
 }
 
 /// Dispatches the full unit range serially or sharded, per `workers`.
-/// Recording a route stream is inherently serial, so `Collect` always runs
-/// one span.
 fn run_worker_spans<const L: usize>(
     ctx: &LayerExec,
     weights: &Tensor4<i8>,
@@ -724,37 +899,17 @@ fn run_worker_spans<const L: usize>(
     oact: &mut LayoutView<'_, i32>,
     routes: RouteExecution<'_>,
 ) -> Result<Vec<SpanAccum>, ArchError> {
-    let units_total = ctx.units();
-    let shared = match routes {
-        RouteExecution::Collect(cache, recorder) => {
-            let mut span_routes = SpanRoutes::Collect {
-                cache,
-                local: LocalRoutes::new(),
-                recorder,
-            };
-            return Ok(vec![run_span::<L>(
-                ctx,
-                weights,
-                0..units_total,
-                iact,
-                oact,
-                &mut span_routes,
-            )?]);
-        }
-        RouteExecution::Cached(cache) => WorkerRoutes::Cached(cache),
-        RouteExecution::Replay(stream) => WorkerRoutes::Replay(stream),
-    };
     if workers <= 1 {
         return Ok(vec![run_span::<L>(
             ctx,
             weights,
-            0..units_total,
+            0..ctx.units(),
             iact,
             oact,
-            &mut shared.span_routes(),
+            &mut routes.span_routes(),
         )?]);
     }
-    run_sharded::<L>(ctx, weights, workers, iact, oact, shared)
+    run_sharded::<L>(ctx, weights, workers, iact, oact, routes)
 }
 
 /// Runs the span `0..units` split across `workers` scoped threads, each on
@@ -767,7 +922,7 @@ fn run_sharded<const L: usize>(
     workers: usize,
     iact: &mut LayoutView<'_, i32>,
     oact: &mut LayoutView<'_, i32>,
-    routes: WorkerRoutes<'_>,
+    routes: RouteExecution<'_>,
 ) -> Result<Vec<SpanAccum>, ArchError> {
     let units_total = ctx.units();
     let chunk = units_total.div_ceil(workers);
@@ -855,10 +1010,6 @@ fn run_span<const L: usize>(
     // one exception is the reused lookup request's tiny destination map,
     // whose `BTreeMap` nodes reallocate per batch).
     let mut w_scratch = vec![0i8; ctx.rs];
-    // Lane-mapping masks, one `cols`-wide row per `(qt, m_lane)` pair. The
-    // mask depends only on the weight tile `(wt_m, wt_c)` and those two
-    // indices — not on `(n, p)` — so it is rebuilt once per tile and merely
-    // indexed inside the per-pixel hot loop.
     let mut mapped_table = vec![false; ctx.q_tiles * ctx.m_rows * cols];
     let mut bus: Vec<i32> = vec![0; cols * lanes];
     let mut inputs: Vec<i64> = vec![0; cols * lanes];
@@ -866,14 +1017,9 @@ fn run_span<const L: usize>(
     let mut in_present: Vec<bool> = vec![false; cols];
     let mut out_present: Vec<bool> = vec![false; cols];
     let mut lane_vals: Vec<i8> = vec![0; lanes];
-    let mut groups: Vec<FireGroup> = Vec::with_capacity(ctx.q_cols);
-    let mut batch: Vec<FireGroup> = Vec::with_capacity(ctx.q_cols);
-    let mut pending: Vec<FireGroup> = Vec::with_capacity(ctx.q_cols);
-    let mut bank_used = vec![false; cols];
-    let mut request = ReductionRequest {
-        input_groups: vec![None; cols],
-        group_destinations: BTreeMap::new(),
-    };
+    let mut passes = FirePasses::new(ctx);
+    let mut key: Vec<u32> = Vec::new();
+    let mut request = blank_request(cols);
 
     let n_total = layer.n;
     let mut unit = units.start;
@@ -885,37 +1031,15 @@ fn run_span<const L: usize>(
         for wt_c in 0..ctx.c_tiles {
             stage_weights(ctx, weights, &mut nest, wt_m, wt_c, &mut w_scratch);
             let tile = wt_m * ctx.c_tiles + wt_c;
-            for qt in 0..ctx.q_tiles {
-                for m_lane in 0..ctx.m_rows {
-                    let m = wt_m * ctx.m_rows + m_lane;
-                    let row = &mut mapped_table[(qt * ctx.m_rows + m_lane) * cols..][..cols];
-                    for (col, slot) in row.iter_mut().enumerate() {
-                        let q_lane = col / ctx.c_cols;
-                        let q = qt * ctx.q_cols + q_lane;
-                        let c = if ctx.depthwise {
-                            m
-                        } else {
-                            wt_c * ctx.c_cols + col % ctx.c_cols
-                        };
-                        *slot =
-                            q_lane < ctx.q_cols && q < ctx.q_total && m < layer.m && c < layer.c;
-                    }
-                }
-            }
+            map_tile_lanes(ctx, wt_m, wt_c, &mut mapped_table);
 
             for n in n_range.clone() {
                 // One `(wt_m, wt_c, n)` triple is a work block with a
-                // data-independent route sub-sequence; recording marks its
-                // start and replay jumps its cursor there, so sharded
-                // replay workers stay in sync with the serial recording.
-                match routes {
-                    SpanRoutes::Cached { .. } => {}
-                    SpanRoutes::Collect { recorder, .. } => {
-                        recorder.enter_block(tile * n_total + n);
-                    }
-                    SpanRoutes::Replay { stream, pos } => {
-                        *pos = stream.block_starts[tile * n_total + n] as usize;
-                    }
+                // data-independent route sub-sequence; the lowering marks
+                // its start and replay jumps its cursor there, so sharded
+                // replay workers stay in sync with the serial lowering.
+                if let SpanRoutes::Replay { stream, pos } = routes {
+                    *pos = stream.block_starts[tile * n_total + n] as usize;
                 }
                 for p in 0..ctx.p_total {
                     for qt in 0..ctx.q_tiles {
@@ -946,50 +1070,14 @@ fn run_span<const L: usize>(
                         // ---- Phase 2: row fires through BIRRD (RIR) ----
                         for m_lane in 0..ctx.m_rows {
                             let m = wt_m * ctx.m_rows + m_lane;
-                            let mapped = &mapped_table[(qt * ctx.m_rows + m_lane) * cols..][..cols];
+                            let mapped = tile_lanes(ctx, &mapped_table, qt, m_lane);
                             nest.fire_row_stripe(m_lane, mapped, &mut bus);
                             accum.tile_fires[tile] += 1;
                             if m >= layer.m {
                                 continue;
                             }
 
-                            // Build the reduction groups: one per live
-                            // q_lane, destination = the StaB bank the oAct
-                            // lands in under the next layer's layout.
-                            groups.clear();
-                            for q_lane in 0..ctx.q_cols {
-                                let q = qt * ctx.q_cols + q_lane;
-                                if q >= ctx.q_total {
-                                    continue;
-                                }
-                                let lane = q_lane * ctx.c_cols;
-                                if !mapped[lane..lane + ctx.c_cols].iter().any(|&b| b) {
-                                    continue;
-                                }
-                                let loc = ctx.oact_plan.location([n, m, p, q]);
-                                groups.push(FireGroup {
-                                    q_lane,
-                                    bank: loc.offset % cols,
-                                    loc,
-                                });
-                            }
-
-                            // Split into batches with unique destination
-                            // banks (a concordant mapping needs one batch).
-                            while !groups.is_empty() {
-                                batch.clear();
-                                pending.clear();
-                                bank_used.fill(false);
-                                for g in groups.drain(..) {
-                                    if !bank_used[g.bank] {
-                                        bank_used[g.bank] = true;
-                                        batch.push(g);
-                                    } else {
-                                        pending.push(g);
-                                    }
-                                }
-                                std::mem::swap(&mut groups, &mut pending);
-
+                            passes.for_each(ctx, mapped, [n, m, p, qt], |batch, serialized| {
                                 let owned_route;
                                 let route: &CompiledRoute = match routes {
                                     SpanRoutes::Replay { stream, pos } => {
@@ -1002,24 +1090,15 @@ fn run_span<const L: usize>(
                                         &stream.slots[slot]
                                     }
                                     SpanRoutes::Cached { cache, local } => {
-                                        fill_request(&mut request, &batch, mapped, ctx.c_cols);
+                                        encode_key(&mut key, batch, mapped, ctx.c_cols);
+                                        expand_key(&mut request, &key, ctx.c_cols);
                                         owned_route = cache.lookup(&ctx.birrd, &request, local)?;
-                                        &owned_route
-                                    }
-                                    SpanRoutes::Collect {
-                                        cache,
-                                        local,
-                                        recorder,
-                                    } => {
-                                        fill_request(&mut request, &batch, mapped, ctx.c_cols);
-                                        owned_route = cache.lookup(&ctx.birrd, &request, local)?;
-                                        recorder.record(&request, &owned_route);
                                         &owned_route
                                     }
                                 };
 
                                 in_present.fill(false);
-                                for g in &batch {
+                                for g in batch {
                                     let lane = g.q_lane * ctx.c_cols;
                                     for col in lane..lane + ctx.c_cols {
                                         if mapped[col] {
@@ -1046,7 +1125,7 @@ fn run_span<const L: usize>(
                                 accum.birrd_adds += route.adder_activations() as u64;
 
                                 oact.begin_cycle();
-                                for g in &batch {
+                                for g in batch {
                                     // In-situ accumulation in the output
                                     // buffer across channel tiles, all lanes
                                     // at once (one accounted write). An
@@ -1059,11 +1138,12 @@ fn run_span<const L: usize>(
                                     }
                                 }
                                 oact.flush_cycle();
-                                if !groups.is_empty() {
+                                if serialized {
                                     // An extra BIRRD pass serializes the fire.
                                     accum.extra_cycles += 1;
                                 }
-                            }
+                                Ok(())
+                            })?;
                         }
                     }
                 }
@@ -1244,6 +1324,54 @@ mod tests {
         ReductionRequest {
             input_groups,
             group_destinations,
+        }
+    }
+
+    /// A pass's compact key and its request determine each other exactly,
+    /// including spans wider than one 32-bit key word.
+    #[test]
+    fn route_keys_round_trip_requests_for_any_span_width() {
+        for (cols, c_cols) in [(8usize, 1usize), (16, 4), (128, 40)] {
+            let q_cols = cols / c_cols;
+            // Every other lane live, offset per span, so no two spans agree.
+            let mapped: Vec<bool> = (0..cols).map(|col| (col + col / c_cols) % 2 == 0).collect();
+            let batch: Vec<FireGroup> = (0..q_cols)
+                .rev()
+                .map(|q_lane| FireGroup {
+                    q_lane,
+                    bank: (q_lane * 3) % cols,
+                    loc: Location { line: 0, offset: 0 },
+                })
+                .collect();
+            let mut key = Vec::new();
+            encode_key(&mut key, &batch, &mapped, c_cols);
+            assert_eq!(key.len(), q_cols * key_stride(c_cols));
+            // Group `gid` gathers the mapped lanes of its own span.
+            let mut request = blank_request(cols);
+            for (gid, g) in batch.iter().enumerate() {
+                let span = g.q_lane * c_cols..(g.q_lane + 1) * c_cols;
+                for (slot, &live) in request.input_groups[span.clone()]
+                    .iter_mut()
+                    .zip(&mapped[span])
+                {
+                    if live {
+                        *slot = Some(gid);
+                    }
+                }
+                request.group_destinations.insert(gid, g.bank);
+            }
+            let mut expanded = blank_request(cols);
+            expand_key(&mut expanded, &key, c_cols);
+            assert_eq!(expanded, request, "{cols}/{c_cols}");
+            assert_eq!(key_of(&request, cols, c_cols).as_deref(), Some(&key[..]));
+            // A request no pass makes (a group straddling two spans) has no key.
+            if c_cols > 1 {
+                let mut straddling = request.clone();
+                let lane = c_cols - 1;
+                straddling.input_groups[lane] = Some(0);
+                straddling.input_groups[lane + 1] = Some(0);
+                assert_eq!(key_of(&straddling, cols, c_cols), None);
+            }
         }
     }
 

@@ -8,13 +8,21 @@
 //!
 //! 1. The [`Graph`] is partitioned into linear [`GraphSegment`]s (branch
 //!    fan-outs and joins always fall on segment boundaries).
-//! 2. Each segment runs through the existing ping/pong [`NetworkSession`]
-//!    core — intermediate activations inside a segment never leave the chip.
+//! 2. Each segment runs through the ping/pong StaB pipeline of
+//!    [`NetworkSession`] — intermediate activations inside a segment never
+//!    leave the chip.
 //! 3. A tensor still needed after the pipeline moves on (a shortcut) is
 //!    parked in a [`ScratchRegion`] with its own traffic accounting.
 //! 4. At a join, the quantized INT8 main-path and shortcut tensors are added
 //!    with saturation ([`saturating_add_i8`]) before the result is staged
 //!    into the consumer segment in its preferred layout.
+//!
+//! The whole schedule is fixed before any data arrives, so a session lowers
+//! itself once — on its first [`GraphSession::run`] or
+//! [`GraphSession::compile`] — into a data-free [`Program`] and every run
+//! replays it ([`crate::ProgramSession`]). [`GraphSession::run_interpreted`]
+//! keeps the step-by-step walk of the segments and joins as the oracle the
+//! replay is checked against.
 //!
 //! DRAM accounting is graph-level: only the graph input is staged from DRAM
 //! and only the graph output drains back; every other boundary lives in the
@@ -54,6 +62,7 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 use feather_arch::dataflow::Dataflow;
 use feather_arch::energy::EnergyModel;
@@ -66,6 +75,7 @@ use feather_memsim::ScratchRegion;
 
 use crate::config::FeatherConfig;
 use crate::mapping::LayerMapping;
+use crate::program::{Program, ProgramSession};
 use crate::report::{GraphReport, GraphRun, JoinSummary, NetworkReport, SegmentSummary};
 use crate::session::{NetworkSession, DEFAULT_QUANT_SHIFT};
 
@@ -106,6 +116,10 @@ pub struct GraphSession {
     quant_shift: u32,
     quant_zero: i8,
     pub(crate) energy_model: EnergyModel,
+    /// The session's lowering, made once by the first [`GraphSession::run`]
+    /// or [`GraphSession::compile`] and shared by both. Lowering is
+    /// deterministic, so a failure is kept too.
+    lowered: OnceLock<Result<Arc<Program>, ArchError>>,
 }
 
 impl GraphSession {
@@ -233,6 +247,7 @@ impl GraphSession {
             quant_shift: DEFAULT_QUANT_SHIFT,
             quant_zero: 0,
             energy_model: EnergyModel::tsmc28(),
+            lowered: OnceLock::new(),
         })
     }
 
@@ -243,6 +258,7 @@ impl GraphSession {
         for seg in &mut self.segments {
             seg.session = seg.session.clone().with_quantization(shift, zero_point);
         }
+        self.lowered = OnceLock::new();
         self
     }
 
@@ -258,6 +274,7 @@ impl GraphSession {
         for seg in &mut self.segments {
             seg.session.set_threads(threads);
         }
+        self.lowered = OnceLock::new();
         self
     }
 
@@ -284,6 +301,7 @@ impl GraphSession {
         for seg in &mut session.segments {
             seg.session = seg.session.with_batch(n)?;
         }
+        session.lowered = OnceLock::new();
         Ok(session)
     }
 
@@ -323,15 +341,25 @@ impl GraphSession {
 
     /// Lowers this session into a flat, replayable [`crate::Program`]: all
     /// layouts, location tables, BIRRD routes and scratch moves resolved
-    /// ahead of time, so [`crate::ProgramSession::run`] dispatches the op
-    /// stream linearly with zero per-layer planning. Replay is bit-identical
-    /// to [`GraphSession::run`] — outputs, cycles and access statistics alike.
+    /// ahead of time, without executing anything, so
+    /// [`crate::ProgramSession::run`] dispatches the op stream linearly with
+    /// zero per-layer planning. Replay is bit-identical to
+    /// [`GraphSession::run_interpreted`] — outputs, cycles and access
+    /// statistics alike. The session lowers once and shares the lowering
+    /// with [`GraphSession::run`]; the returned program is a cheap copy.
     ///
     /// # Errors
     /// Returns an error if a route cannot be compiled — the same conditions
-    /// under which [`GraphSession::run`] itself would fail.
+    /// under which [`GraphSession::run_interpreted`] would fail.
     pub fn compile(&self) -> Result<crate::Program, ArchError> {
-        crate::program::compile(self)
+        self.lowering().map(|program| (*program).clone())
+    }
+
+    /// The session's lowering, made on first use.
+    fn lowering(&self) -> Result<Arc<Program>, ArchError> {
+        self.lowered
+            .get_or_init(|| crate::program::compile(self).map(Arc::new))
+            .clone()
     }
 
     /// Like [`GraphSession::compile`], but backed by the on-disk artifact
@@ -361,10 +389,31 @@ impl GraphSession {
     /// needs one ([`Node::weight_shape`]); pooling lowerings synthesize their
     /// own window weights.
     ///
+    /// The first call lowers the session ([`GraphSession::compile`]); every
+    /// call replays that lowering, bit-identical to
+    /// [`GraphSession::run_interpreted`] in outputs and the full report.
+    ///
     /// # Errors
     /// Returns an error on missing weights, operand shape mismatches, or an
     /// unroutable BIRRD pattern.
     pub fn run(
+        &self,
+        iacts: &Tensor4<i8>,
+        weights: &BTreeMap<NodeId, Tensor4<i8>>,
+    ) -> Result<GraphRun, ArchError> {
+        ProgramSession::from_arc(self.lowering()?).run(iacts, weights)
+    }
+
+    /// Executes the whole DAG step by step: every segment through
+    /// [`NetworkSession::run`] with its routes resolved through the shared
+    /// route cache, shortcuts parked and joins added as the plan visits
+    /// them. This is the report oracle [`GraphSession::run`]'s replay is
+    /// checked against, like [`GraphSession::run_layer_at_a_time`] — not a
+    /// second production path.
+    ///
+    /// # Errors
+    /// Same conditions as [`GraphSession::run`].
+    pub fn run_interpreted(
         &self,
         iacts: &Tensor4<i8>,
         weights: &BTreeMap<NodeId, Tensor4<i8>>,
@@ -613,10 +662,10 @@ pub(crate) fn widen(t: &Tensor4<i8>) -> Tensor4<i32> {
     Tensor4::from_fn([a, b, c, d], |i, j, k, l| t.get(i, j, k, l) as i32)
 }
 
-/// Tracks where every live tensor currently resides during a graph run: the
-/// single *fresh* tensor sits in the StaB (the last pipeline output), and
-/// everything still needed beyond that is parked in the shortcut scratch
-/// region.
+/// Tracks where every live tensor currently resides during an interpreted
+/// graph run ([`GraphSession::run_interpreted`]): the single *fresh* tensor
+/// sits in the StaB (the last pipeline output), and everything still needed
+/// beyond that is parked in the shortcut scratch region.
 struct RunState<'g> {
     graph: &'g Graph,
     scratch: ScratchRegion<i8>,
@@ -932,6 +981,38 @@ mod tests {
             run.report.total_cycles() < n as u64 * solo0.report.total_cycles(),
             "batching must amortize weight staging"
         );
+    }
+
+    /// The builders hand out sessions with an empty lowering slot: after the
+    /// base session has lowered and run, each variant lowers its own
+    /// schedule and replays exactly like its interpreter and the reference.
+    #[test]
+    fn builders_reset_a_filled_lowering_slot() {
+        let (session, g, iacts, weights) = session_and_operands();
+        session.run(&iacts, &weights).unwrap();
+        let check = |variant: &GraphSession, iacts: &Tensor4<i8>| {
+            assert_eq!(
+                variant.compile().unwrap().fingerprint(),
+                variant.fingerprint(),
+                "the variant replays its own lowering"
+            );
+            let run = variant.run(iacts, &weights).unwrap();
+            let interpreted = variant.run_interpreted(iacts, &weights).unwrap();
+            assert_eq!(run.oacts, interpreted.oacts);
+            assert_eq!(run.report, interpreted.report);
+            let (shift, zero) = variant.quantization();
+            for i in 0..variant.batch() {
+                let sample = sample_of(iacts, i);
+                let golden = run_graph_reference(&g, &sample, &weights, shift, zero).unwrap();
+                assert_sample_matches(&run.oacts, i, &golden, "builder variant");
+            }
+        };
+        check(
+            &session.with_batch(4).unwrap(),
+            &Tensor4::random([4, 4, 6, 6], 91),
+        );
+        check(&session.clone().with_quantization(5, 3), &iacts);
+        check(&session.clone().with_threads(3), &iacts);
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //! flat, serializable [`Program`] of ops and replay it with zero per-layer
 //! planning — the accelerator-as-ISA execution model.
 //!
-//! The interpreted [`GraphSession::run`] re-walks the DAG on every call:
-//! consumer counts, scratch keys, weight clones, per-layer context builds and
-//! hashed route-cache lookups all happen on the hot path. A serving process
-//! replays the *same* schedule thousands of times, so all of that work is
-//! hoisted here into a one-time compile:
+//! A graph's whole schedule — every layer's dataflow, layout, fire order and
+//! BIRRD route — is fixed before any data arrives. Lowering resolves all of
+//! it once, and every run replays the result; [`GraphSession::run`] itself
+//! is lower-once-then-replay:
 //!
 //! * **[`Program`]** — a linear op stream (`Op`: `Stage`, `Fire`,
 //!   `Reorder`, `Swap`, `Drain`, `Join`, `Park`/`Unpark`) with every layout,
@@ -15,25 +14,26 @@
 //!   per-layer `RouteStream` — replay never hashes a request or touches
 //!   the shared route cache.
 //! * **[`ProgramSession`]** — the executor: dispatches the op stream
-//!   linearly. Replay is bit-identical to the interpreted session — outputs,
-//!   cycle counts, access statistics, energy, the whole [`GraphRun`] report
-//!   (enforced by the `program_equivalence` suite).
+//!   linearly. Replay is bit-identical to the interpreted
+//!   [`GraphSession::run_interpreted`] — outputs, cycle counts, access
+//!   statistics, energy, the whole [`GraphRun`] report (enforced by the
+//!   `program_equivalence` suite).
 //! * **On-disk artifacts** — [`GraphSession::compile_cached`] persists
 //!   programs under `FEATHER_CACHE_DIR/programs/` (next to layoutloop's
 //!   co-search cache), keyed by a schedule fingerprint. Loading an artifact
-//!   skips the compile pass entirely; the recorded route *requests* are
+//!   skips the lowering entirely; the recorded route *requests* are
 //!   re-routed deterministically, so artifacts stay small and the compiled
 //!   programs identical.
 //! * **[`Program::dump`]** — a diffable text listing of exactly what a run
 //!   will do, locked down by a golden snapshot test.
 //!
-//! Route streams can be recorded without any input data because the
-//! reduce-reorder pattern of every fire is a pure function of layer geometry
-//! (the mapped-lane pattern and the oAct layout's bank assignment) — never of
-//! activation or weight values. The compile pass therefore runs the tile loop
-//! once over zeroed buffers in record mode, and replay consumes the recorded
+//! Lowering needs no input data because the reduce-reorder pattern of every
+//! fire is a pure function of layer geometry (the mapped-lane pattern and the
+//! oAct layout's bank assignment) — never of activation or weight values. It
+//! walks each layer's fire schedule without MACs or buffers, memoizing routes
+//! under a compact exact per-pass key, and replay consumes the recorded
 //! stream cursor-style, jumping to per-block offsets so sharded workers stay
-//! in sync with the serial recording.
+//! in sync with the serial schedule.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -42,7 +42,6 @@ use std::sync::Arc;
 
 use feather_arch::energy::EnergyModel;
 use feather_arch::graph::{NodeId, NodeOp, TensorId};
-use feather_arch::layout::LocationPlan4;
 use feather_arch::tensor::{quantize_to_i8, quantize_value, saturating_add_i8, Tensor4};
 use feather_arch::workload::{ConvKind, ConvLayer};
 use feather_arch::{ArchError, Dim};
@@ -51,7 +50,7 @@ use feather_memsim::{BufferSpec, LayoutView, PingPong, ScratchRegion};
 
 use crate::accelerator::check_weight_shape;
 use crate::config::FeatherConfig;
-use crate::core::{run_conv_core, LayerExec, RouteExecution, RouteRecorder, RouteStream};
+use crate::core::{lower_routes, run_conv_core, LayerExec, RouteExecution, RouteStream};
 use crate::graph_session::{pool_window_weights, widen, GraphSession, Step};
 use crate::mapping::LayerMapping;
 use crate::report::{
@@ -114,8 +113,8 @@ enum WeightSource {
 }
 
 /// One fully-resolved layer of a compiled segment: the owned tile-loop
-/// context, the buffer disciplines of both StaB halves, the precompiled
-/// location plans and the frozen route stream.
+/// context (which carries the precompiled location plans), the buffer
+/// disciplines of both StaB halves and the frozen route stream.
 #[derive(Debug, Clone)]
 struct CompiledLayer {
     exec: LayerExec,
@@ -124,8 +123,6 @@ struct CompiledLayer {
     oact_spec: BufferSpec,
     idims: BTreeMap<Dim, usize>,
     odims: BTreeMap<Dim, usize>,
-    iact_plan: LocationPlan4,
-    oact_plan: LocationPlan4,
     routes: RouteStream,
 }
 
@@ -206,7 +203,8 @@ enum Op {
 /// A flat, replayable lowering of a planned graph: every layout, location
 /// plan, BIRRD route and scratch move resolved ahead of time. Produced by
 /// [`GraphSession::compile`], executed by [`ProgramSession`], serialized to
-/// the `FEATHER_CACHE_DIR/programs/` artifact cache.
+/// the `FEATHER_CACHE_DIR/programs/` artifact cache. Cloning is cheap: the
+/// compiled segments (the bulk of a program) are shared.
 #[derive(Debug, Clone)]
 pub struct Program {
     name: String,
@@ -222,7 +220,7 @@ pub struct Program {
     fingerprint: u64,
     energy_model: EnergyModel,
     tensors: Vec<TensorSlot>,
-    segments: Vec<CompiledSegment>,
+    segments: Arc<[CompiledSegment]>,
     joins: Vec<JoinSpec>,
     ops: Vec<Op>,
 }
@@ -456,7 +454,7 @@ impl Program {
                 join_usizes(&slot.shape)
             );
         }
-        for seg in &self.segments {
+        for seg in self.segments.iter() {
             let _ = writeln!(
                 out,
                 "segment in={} out={} gin={} gout={}",
@@ -495,7 +493,7 @@ impl Program {
                     esc(&m.iact_layout.to_string()),
                     esc(&m.oact_layout.to_string())
                 );
-                for request in &layer.routes.requests {
+                for request in layer.routes.requests(&layer.exec) {
                     let groups: Vec<String> = request
                         .input_groups
                         .iter()
@@ -650,9 +648,9 @@ impl ProgramSession {
     }
 
     /// Replays the program on one sample: bit-identical to
-    /// [`GraphSession::run`] of the originating session — outputs, cycles,
-    /// access statistics and reports alike — with zero planning, hashing or
-    /// weight cloning on the hot path. This is
+    /// [`GraphSession::run_interpreted`] of the originating session —
+    /// outputs, cycles, access statistics and reports alike — with zero
+    /// planning, hashing or weight cloning on the hot path. This is
     /// [`ProgramSession::run_batched`] at one lane.
     ///
     /// # Errors
@@ -673,9 +671,9 @@ impl ProgramSession {
     /// cycle/conflict/traffic accounting runs **once**: the schedule, routes
     /// and access patterns are data-independent, so one sample's accounting
     /// is every sample's accounting. The returned runs — outputs *and* full
-    /// reports — are bit-identical to [`GraphSession::run`] of each sample
-    /// alone (the per-lane [`JoinSummary`] saturation flags are the only
-    /// data-dependent bits and are computed per lane).
+    /// reports — are bit-identical to [`GraphSession::run_interpreted`] of
+    /// each sample alone (the per-lane [`JoinSummary`] saturation flags are
+    /// the only data-dependent bits and are computed per lane).
     ///
     /// # Errors
     /// Returns an error on an empty batch, a sample shape mismatch, or
@@ -831,7 +829,8 @@ impl ProgramSession {
                         let rest: Vec<&[i8]> = input.iter().skip(1).map(|t| t.as_slice()).collect();
                         let mut flat = 0usize;
                         input[0].for_each(|coord, v| {
-                            let stripe = view.write_stripe_at(first.iact_plan.location(coord));
+                            let stripe =
+                                view.write_stripe_at(first.exec.iact_plan().location(coord));
                             stripe[0] = Some(v as i32);
                             for (lane, data) in rest.iter().enumerate() {
                                 stripe[lane + 1] = Some(data[flat] as i32);
@@ -901,7 +900,7 @@ impl ProgramSession {
                     let mut view = LayoutView::new(shadow, &cl.exec.mapping.oact_layout, &cl.odims);
                     let (shift, zero) = (p.quant_shift, p.quant_zero);
                     for_each_oact(&cl.exec.layer, |coord| {
-                        let stripe = view.poke_stripe_at(cl.oact_plan.location(coord));
+                        let stripe = view.poke_stripe_at(cl.exec.oact_plan().location(coord));
                         for cell in stripe.iter_mut() {
                             let acc = cell.unwrap_or(0);
                             *cell = Some(quantize_value(acc, shift, zero) as i32);
@@ -927,8 +926,9 @@ impl ProgramSession {
                                 Tensor4::from_fn(
                                     [l.n, l.m, l.output_height(), l.output_width()],
                                     |n, m, ph, q| {
-                                        view.peek_stripe_at(last.oact_plan.location([n, m, ph, q]))
-                                            [lane]
+                                        view.peek_stripe_at(
+                                            last.exec.oact_plan().location([n, m, ph, q]),
+                                        )[lane]
                                             .unwrap_or(0)
                                     },
                                 )
@@ -1066,8 +1066,8 @@ fn adjust_report(report: &mut NetworkReport, seg: &CompiledSegment, energy: &Ene
 
 // ------------------------------------------------------------------ compile
 
-/// Lowers a planned session into a [`Program`] — the implementation behind
-/// [`GraphSession::compile`].
+/// Lowers a planned session into a [`Program`] without executing it — the
+/// implementation behind [`GraphSession::compile`], which keeps the result.
 pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
     let graph = session.graph();
     let config = session.config();
@@ -1097,9 +1097,8 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
     let input_slot = slot_of[&graph.input()];
     let input_shape = tensors[input_slot].shape;
 
-    // Compile every segment: build the owned layer contexts and record each
-    // layer's route stream with a zero-input pass that replicates the
-    // interpreted StaB sequence exactly (routes are data-independent).
+    // Lower every segment: build the owned layer contexts and walk each
+    // layer's fire schedule for its route stream — no data, no buffers.
     let mut segments: Vec<CompiledSegment> = Vec::with_capacity(session.segments.len());
     for exec in &session.segments {
         let seg = &exec.segment;
@@ -1107,8 +1106,6 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
         let route_cache = exec.session.route_cache();
         let mut layers: Vec<CompiledLayer> = Vec::with_capacity(steps.len());
         let mut names: Vec<String> = Vec::with_capacity(steps.len());
-
-        let mut stab: PingPong<i32> = PingPong::new(iact_spec(&steps[0].0, &steps[0].1));
         for (i, (layer, mapping)) in steps.iter().enumerate() {
             let node = graph.node(seg.nodes[i]);
             names.push(node.name.clone());
@@ -1116,49 +1113,16 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
                 NodeOp::PoolAsConv(_) => WeightSource::Pool(pool_window_weights(layer)),
                 _ => WeightSource::Node(node.id),
             };
-            let zero_weights = match &weight {
-                WeightSource::Pool(w) => w.clone(),
-                WeightSource::Node(_) => {
-                    Tensor4::zeros(node.weight_shape().expect("conv-like nodes carry weights"))
-                }
-            };
             let exec = LayerExec::new(&config, layer, mapping)?;
-            let ispec = iact_spec(layer, mapping);
-            let ospec = oact_spec(layer, mapping);
-            let idims = layer.iact_dim_sizes();
-            let odims = layer.oact_dim_sizes();
-
-            stab.shadow().reshape(ospec);
-            if i > 0 {
-                stab.active().rebank(ispec);
-            }
-            let mut recorder = RouteRecorder::new();
-            {
-                let (active, shadow) = stab.split_mut();
-                let mut iact_view = LayoutView::new(active, &mapping.iact_layout, &idims);
-                let mut oact_view = LayoutView::new(shadow, &mapping.oact_layout, &odims);
-                run_conv_core(
-                    &exec,
-                    &zero_weights,
-                    &mut iact_view,
-                    &mut oact_view,
-                    RouteExecution::Collect(route_cache, &mut recorder),
-                    i == 0,
-                    Some(1),
-                )?;
-            }
-            stab.swap();
-
+            let routes = lower_routes(&exec, route_cache)?;
             layers.push(CompiledLayer {
-                exec,
                 weight,
-                iact_spec: ispec,
-                oact_spec: ospec,
-                idims,
-                odims,
-                iact_plan: crate::core::iact_plan(&mapping.iact_layout, layer),
-                oact_plan: crate::core::oact_plan(&mapping.oact_layout, layer),
-                routes: recorder.into_stream(),
+                iact_spec: iact_spec(layer, mapping),
+                oact_spec: oact_spec(layer, mapping),
+                idims: layer.iact_dim_sizes(),
+                odims: layer.oact_dim_sizes(),
+                exec,
+                routes,
             });
         }
 
@@ -1274,7 +1238,7 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
         fingerprint: session_fingerprint(session),
         energy_model: session.energy_model,
         tensors,
-        segments,
+        segments: segments.into(),
         joins,
         ops,
     })
@@ -1286,7 +1250,7 @@ pub(crate) fn compile_cached(
     session: &GraphSession,
 ) -> Result<(Program, ArtifactStatus), ArchError> {
     let Some(dir) = cache_dir() else {
-        return Ok((compile(session)?, ArtifactStatus::Disabled));
+        return Ok((session.compile()?, ArtifactStatus::Disabled));
     };
     compile_cached_in(session, &dir)
 }
@@ -1313,7 +1277,7 @@ pub(crate) fn compile_cached_in(
         }
         LoadOutcome::Missing => ArtifactStatus::Miss,
     };
-    let program = compile(session)?;
+    let program = session.compile()?;
     // Persistence is best-effort: an unwritable cache degrades to recompiles.
     let _ = program.save_to(&path);
     Ok((program, status))
@@ -1687,8 +1651,7 @@ fn parse_program(text: &str) -> Option<Program> {
         for lp in seg.layers {
             let exec = LayerExec::new(&config, &lp.layer, &lp.mapping).ok()?;
             let routes =
-                RouteStream::recompile(exec.birrd(), lp.requests, lp.stream, lp.block_starts)
-                    .ok()?;
+                RouteStream::recompile(&exec, lp.requests, lp.stream, lp.block_starts).ok()?;
             // The block table must cover every (wt_m, wt_c, n) work block or
             // replay would index out of range.
             if routes.block_starts.len() != exec.block_count() {
@@ -1705,8 +1668,6 @@ fn parse_program(text: &str) -> Option<Program> {
                 oact_spec: oact_spec(&lp.layer, &lp.mapping),
                 idims: lp.layer.iact_dim_sizes(),
                 odims: lp.layer.oact_dim_sizes(),
-                iact_plan: crate::core::iact_plan(&lp.mapping.iact_layout, &lp.layer),
-                oact_plan: crate::core::oact_plan(&lp.mapping.oact_layout, &lp.layer),
                 exec,
                 weight,
                 routes,
@@ -1740,7 +1701,7 @@ fn parse_program(text: &str) -> Option<Program> {
         fingerprint,
         energy_model,
         tensors,
-        segments: compiled_segments,
+        segments: compiled_segments.into(),
         joins,
         ops,
     })
@@ -1955,7 +1916,7 @@ mod tests {
         let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
         let iacts = Tensor4::random([1, 4, 6, 6], 11);
         let weights = g.random_weights(12);
-        let interpreted = session.run(&iacts, &weights).unwrap();
+        let interpreted = session.run_interpreted(&iacts, &weights).unwrap();
         let program = session.compile().unwrap();
         let replayed = ProgramSession::new(program).run(&iacts, &weights).unwrap();
         assert_eq!(replayed.oacts, interpreted.oacts);
@@ -1968,7 +1929,7 @@ mod tests {
         let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
         let iacts = Tensor4::random([1, 4, 6, 6], 21);
         let weights = g.random_weights(22);
-        let interpreted = session.run(&iacts, &weights).unwrap();
+        let interpreted = session.run_interpreted(&iacts, &weights).unwrap();
         let replay = ProgramSession::new(session.compile().unwrap());
         // Replay twice (a serving process reuses one program) and once with
         // explicit sharding — all bit-identical.
@@ -2047,7 +2008,7 @@ mod tests {
                 .unwrap();
             assert_eq!(fresh.len(), lanes);
             for (lane, sample) in batch.iter().enumerate() {
-                let solo = session.run(sample, &weights).unwrap();
+                let solo = session.run_interpreted(sample, &weights).unwrap();
                 assert_eq!(fresh[lane].oacts, solo.oacts, "lane {lane} outputs");
                 assert_eq!(fresh[lane].report, solo.report, "lane {lane} report");
                 assert_eq!(reused[lane].oacts, solo.oacts, "lane {lane} reused outputs");
@@ -2064,7 +2025,7 @@ mod tests {
             .run_batched(&samples, &weights)
             .unwrap();
         for (lane, sample) in samples.iter().enumerate() {
-            let solo = session.run(sample, &weights).unwrap();
+            let solo = session.run_interpreted(sample, &weights).unwrap();
             assert_eq!(sharded[lane].oacts, solo.oacts, "lane {lane} sharded");
             assert_eq!(sharded[lane].report, solo.report, "lane {lane} sharded");
         }
@@ -2084,7 +2045,7 @@ mod tests {
         assert_eq!(loaded.dump(), program.dump());
         let iacts = Tensor4::random([1, 4, 6, 6], 31);
         let weights = g.random_weights(32);
-        let interpreted = session.run(&iacts, &weights).unwrap();
+        let interpreted = session.run_interpreted(&iacts, &weights).unwrap();
         let replayed = ProgramSession::new(loaded).run(&iacts, &weights).unwrap();
         assert_eq!(replayed.oacts, interpreted.oacts);
         assert_eq!(replayed.report, interpreted.report);

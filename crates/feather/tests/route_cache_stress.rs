@@ -1,12 +1,13 @@
 //! Concurrency stress for the bounded compiled-route cache: many threads
-//! replay layers through one shared `RouteCache` (via a shared
-//! `GraphSession`), and the hit/miss/eviction counters must stay exactly
-//! consistent — no lost updates, and no compile work beyond what the `misses`
-//! counter admits to. The serving executor pool leans on precisely this
-//! property: N executor workers share each model's route cache.
+//! interpret one shared `GraphSession` (`run_interpreted`, which resolves
+//! every fire's route through the session's one `RouteCache`), and the
+//! hit/miss/eviction counters must stay exactly consistent — no lost
+//! updates, and no compile work beyond what the `misses` counter admits to.
+//! Lowering (the first `run` or `compile`) resolves its routes through the
+//! same cache, so racing first runs must converge on it too.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use feather::{FeatherConfig, GraphSession};
 use feather_arch::graph::{Graph, NodeId};
@@ -50,7 +51,7 @@ fn fixture() -> (Graph, BTreeMap<NodeId, Tensor4<i8>>, Tensor4<i8>) {
 fn warm_cache_counters_are_exact_under_contention() {
     let (g, weights, iacts) = fixture();
     let session = Arc::new(GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap());
-    let golden = session.run(&iacts, &weights).unwrap().oacts;
+    let golden = session.run_interpreted(&iacts, &weights).unwrap().oacts;
 
     // Warm: the first run populates the shared map; a second run measures
     // how many shared-map lookups one run performs once warm (the
@@ -58,7 +59,7 @@ fn warm_cache_counters_are_exact_under_contention() {
     // still touch the shared map a deterministic number of times).
     let after_warm = session.route_cache_stats();
     let lookups_per_run = {
-        session.run(&iacts, &weights).unwrap();
+        session.run_interpreted(&iacts, &weights).unwrap();
         let s = session.route_cache_stats();
         assert_eq!(s.misses, after_warm.misses, "warm runs must not compile");
         s.hits - after_warm.hits
@@ -74,7 +75,7 @@ fn warm_cache_counters_are_exact_under_contention() {
             let golden = &golden;
             scope.spawn(move || {
                 for _ in 0..RUNS_PER_THREAD {
-                    let run = session.run(iacts, weights).unwrap();
+                    let run = session.run_interpreted(iacts, weights).unwrap();
                     assert_eq!(&run.oacts, golden, "contended run diverged");
                 }
             });
@@ -105,7 +106,7 @@ fn cold_cache_races_stay_consistent() {
     let session = Arc::new(GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap());
     let golden = {
         let solo = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
-        solo.run(&iacts, &weights).unwrap().oacts
+        solo.run_interpreted(&iacts, &weights).unwrap().oacts
     };
 
     std::thread::scope(|scope| {
@@ -116,7 +117,7 @@ fn cold_cache_races_stay_consistent() {
             let golden = &golden;
             scope.spawn(move || {
                 for _ in 0..RUNS_PER_THREAD {
-                    let run = session.run(iacts, weights).unwrap();
+                    let run = session.run_interpreted(iacts, weights).unwrap();
                     assert_eq!(&run.oacts, golden, "cold-race run diverged");
                 }
             });
@@ -126,7 +127,7 @@ fn cold_cache_races_stay_consistent() {
     // Distinct routes for this graph, from an uncontended reference run.
     let distinct = {
         let solo = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
-        solo.run(&iacts, &weights).unwrap();
+        solo.run_interpreted(&iacts, &weights).unwrap();
         solo.route_cache_stats().entries
     };
 
@@ -146,4 +147,43 @@ fn cold_cache_races_stay_consistent() {
     );
     assert_eq!(stats.evictions, 0, "this working set never evicts");
     assert!(stats.hits + stats.misses >= stats.misses);
+}
+
+#[test]
+fn racing_first_runs_share_one_lowering() {
+    const RACERS: usize = 8;
+    let (g, weights, iacts) = fixture();
+    let (interpreted, distinct) = {
+        let solo = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
+        let run = solo.run_interpreted(&iacts, &weights).unwrap();
+        (run, solo.route_cache_stats().entries)
+    };
+
+    // Every thread makes the first `run` of one fresh session at once.
+    let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
+    let start = Barrier::new(RACERS);
+    let runs: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..RACERS)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    session.run(&iacts, &weights).unwrap()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    for run in &runs {
+        assert_eq!(run.oacts, interpreted.oacts, "racing run diverged");
+        assert_eq!(run.report, interpreted.report, "racing report diverged");
+    }
+    // The racers share one lowering: it resolved each distinct route once.
+    let stats = session.route_cache_stats();
+    assert_eq!(stats.entries, distinct, "resident set must converge");
+    assert_eq!(
+        stats.misses, distinct as u64,
+        "one lowering, one compile per route"
+    );
+    assert_eq!(stats.evictions, 0);
 }

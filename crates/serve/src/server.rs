@@ -1488,7 +1488,7 @@ mod tests {
                 .collect();
             let goldens: Vec<GraphRun> = inputs
                 .iter()
-                .map(|iacts| solo.run(iacts, &weights).unwrap())
+                .map(|iacts| solo.run_interpreted(iacts, &weights).unwrap())
                 .collect();
 
             // A window far longer than the burst takes to submit: the former
@@ -1556,7 +1556,7 @@ mod tests {
                 .collect();
             let goldens: Vec<GraphRun> = inputs
                 .iter()
-                .map(|iacts| solo.run(iacts, &weights).unwrap())
+                .map(|iacts| solo.run_interpreted(iacts, &weights).unwrap())
                 .collect();
             let tickets: Vec<Ticket> = inputs
                 .iter()
@@ -1592,7 +1592,7 @@ mod tests {
             .unwrap();
         for seed in 0..3 {
             let iacts = Tensor4::random([1, 2, 4, 4], 70 + seed);
-            let golden = solo.run(&iacts, &weights).unwrap().oacts;
+            let golden = solo.run_interpreted(&iacts, &weights).unwrap().oacts;
             let response = server.submit("t", "m", iacts).unwrap().wait().unwrap();
             assert_eq!(response.oacts, golden);
         }
@@ -1643,7 +1643,7 @@ mod tests {
         let weights = g.random_weights(5);
         let solo = GraphSession::auto(config(), &g).unwrap();
         let iacts = Tensor4::random([1, 2, 4, 4], 9);
-        let golden = solo.run(&iacts, &weights).unwrap().oacts;
+        let golden = solo.run_interpreted(&iacts, &weights).unwrap().oacts;
 
         // A wide window plus a large max_batch keeps requests parked in the
         // queue, so the depth bound is observable deterministically.
@@ -1706,7 +1706,7 @@ mod tests {
         let weights = g.random_weights(8);
         let solo = GraphSession::auto(config(), &g).unwrap();
         let iacts = Tensor4::random([1, 2, 4, 4], 13);
-        let golden = solo.run(&iacts, &weights).unwrap().oacts;
+        let golden = solo.run_interpreted(&iacts, &weights).unwrap().oacts;
 
         // A wide window keeps all three parked while we cancel two of them.
         let mut server = Server::new(ServeConfig {
@@ -1852,8 +1852,8 @@ mod tests {
         let solo_b = GraphSession::auto(config(), &g_b).unwrap();
         let ia = Tensor4::random([1, 4, 8, 8], 1000);
         let ib = Tensor4::random([1, 4, 8, 8], 2000);
-        let golden_a = solo_a.run(&ia, &w_a).unwrap().oacts;
-        let golden_b = solo_b.run(&ib, &w_b).unwrap().oacts;
+        let golden_a = solo_a.run_interpreted(&ia, &w_a).unwrap().oacts;
+        let golden_b = solo_b.run_interpreted(&ib, &w_b).unwrap().oacts;
 
         let server = Server::new(ServeConfig {
             max_batch: 1,
@@ -2009,7 +2009,7 @@ mod tests {
         let weights = g.random_weights(40);
         let solo = GraphSession::auto(config(), &g).unwrap();
         let iacts = Tensor4::random([1, 2, 4, 4], 41);
-        let golden = solo.run(&iacts, &weights).unwrap().oacts;
+        let golden = solo.run_interpreted(&iacts, &weights).unwrap().oacts;
 
         // The first replay draw fails; the retry must return exactly what
         // the first attempt would have.
@@ -2069,7 +2069,7 @@ mod tests {
         let weights = g.random_weights(50);
         let solo = GraphSession::auto(config(), &g).unwrap();
         let iacts = Tensor4::random([1, 2, 4, 4], 51);
-        let golden = solo.run(&iacts, &weights).unwrap().oacts;
+        let golden = solo.run_interpreted(&iacts, &weights).unwrap().oacts;
 
         // First replay draw panics: the lone worker dies mid-batch. The
         // batch must resolve (retried), a replacement worker must serve the
@@ -2109,7 +2109,7 @@ mod tests {
         let weights = g.random_weights(60);
         let solo = GraphSession::auto(config(), &g).unwrap();
         let iacts = Tensor4::random([1, 2, 4, 4], 61);
-        let golden = solo.run(&iacts, &weights).unwrap().oacts;
+        let golden = solo.run_interpreted(&iacts, &weights).unwrap().oacts;
 
         // With no retry budget, the pickup panic fails its batch outright —
         // but must never strand the ticket, and the pool must recover.
@@ -2143,7 +2143,7 @@ mod tests {
         let weights = g.random_weights(70);
         let solo = GraphSession::auto(config(), &g).unwrap();
         let iacts = Tensor4::random([1, 2, 4, 4], 71);
-        let golden = solo.run(&iacts, &weights).unwrap().oacts;
+        let golden = solo.run_interpreted(&iacts, &weights).unwrap().oacts;
 
         // Exactly the first two batch executions fail; threshold 2 opens
         // the breaker. Serial submits keep each request in its own batch.

@@ -83,8 +83,12 @@ fn main() {
     let [_, c, h, w] = graph.tensor_shape(graph.input());
     let iacts = Tensor4::random([1, c, h, w], 42);
     let weights = graph.random_weights(43);
+    // Interpreted step by step here; step 5 lowers the same session and
+    // checks its replay (what `GraphSession::run` does) against this run.
     let t1 = std::time::Instant::now();
-    let run = session.run(&iacts, &weights).expect("graph executes");
+    let run = session
+        .run_interpreted(&iacts, &weights)
+        .expect("graph executes");
     let exec_wall = t1.elapsed();
 
     let report = &run.report;

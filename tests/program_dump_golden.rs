@@ -1,17 +1,29 @@
-//! Golden snapshot of [`feather::Program::dump`]: the human-readable listing
-//! of a compiled program is part of the debugging workflow (it is what you
-//! diff when a schedule change moves an op), so its exact shape is pinned
-//! here for a small fixed residual graph. An intentional change to the
-//! compiler or the listing format regenerates the snapshot with
-//! `FEATHER_BLESS=1 cargo test -p feather-suite --test program_dump_golden`.
+//! Golden snapshots of compiled programs. [`feather::Program::dump`]: the
+//! human-readable listing of a compiled program is part of the debugging
+//! workflow (it is what you diff when a schedule change moves an op), so its
+//! exact shape is pinned here for a small fixed residual graph. The artifact
+//! checksums pin the lowering itself: every byte of the serialized program
+//! (routes, streams, block tables, ops) for a few fixed programs, including
+//! a co-searched plan that switches layouts between layers. An intentional
+//! change to the compiler or the listing format regenerates both snapshots
+//! with `FEATHER_BLESS=1 cargo test -p feather-suite --test program_dump_golden`.
 
-use feather::{FeatherConfig, GraphSession};
-use feather_arch::graph::Graph;
+use std::collections::BTreeSet;
+
+use feather::{FeatherConfig, GraphSession, Program};
+use feather_arch::graph::{resnet50_graph_scaled, Graph};
 use feather_arch::workload::ConvLayer;
+use layoutloop::arch::LayoutPolicy;
+use layoutloop::{plan_graph, ArchSpec, CoSearchCache, MapperConfig};
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../tests/golden/program_dump.txt"
+);
+
+const ARTIFACTS_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden/program_artifacts.txt"
 );
 
 /// A two-block residual graph, small enough that the whole listing stays
@@ -89,4 +101,90 @@ fn program_dump_lists_every_op_family() {
             "dump is missing a {needle} op:\n{dump}"
         );
     }
+}
+
+/// The programs whose artifacts are pinned, by label: the residual fixture,
+/// the scaled ResNet-50 at batch 1 and 4, and a co-searched plan of the
+/// residual fixture whose layers switch iAct layouts.
+fn pinned_sessions() -> Vec<(&'static str, GraphSession)> {
+    let residual = fixture();
+    let config = FeatherConfig::new(4, 8);
+    let resnet =
+        GraphSession::auto(FeatherConfig::new(8, 16), &resnet50_graph_scaled(16, 16)).unwrap();
+    // The built-in candidates are 32 wide; narrow them to the 8-wide fabric
+    // so the plan's layouts apply instead of falling back to the defaults.
+    let mut arch = ArchSpec::feather_like(config.rows, config.cols);
+    arch.layout_policy = LayoutPolicy::Searchable(
+        [
+            "HWC_C8", "HWC_W8", "HWC_H8", "HWC_C2W4", "HWC_C4H2", "HWC_W2H4",
+        ]
+        .iter()
+        .map(|s| s.parse().unwrap())
+        .collect(),
+    );
+    let plan = plan_graph(
+        &arch,
+        &residual,
+        &MapperConfig::fast(),
+        0,
+        &mut CoSearchCache::new(),
+    )
+    .unwrap();
+    let schedules = plan.schedules();
+    let layouts: BTreeSet<String> = schedules.values().map(|(_, l)| l.to_string()).collect();
+    assert!(
+        layouts.len() > 1,
+        "the co-searched fixture must switch layouts, got {layouts:?}"
+    );
+    let auto = GraphSession::auto(config, &residual).unwrap();
+    let cosearched = GraphSession::from_schedules(config, &residual, &schedules).unwrap();
+    assert_ne!(
+        cosearched.fingerprint(),
+        auto.fingerprint(),
+        "the co-searched plan must not fall back to the default schedule"
+    );
+    vec![
+        ("golden_residual", auto),
+        ("resnet50_scaled_16_16_b1", resnet.clone()),
+        ("resnet50_scaled_16_16_b4", resnet.with_batch(4).unwrap()),
+        ("golden_residual_cosearched", cosearched),
+    ]
+}
+
+/// The trailing `checksum` line of a program's serialized artifact — a hash
+/// over every byte before it.
+fn artifact_checksum(label: &str, program: &Program) -> String {
+    let path = std::env::temp_dir().join(format!(
+        "feather-artifact-golden-{}-{label}.program",
+        std::process::id()
+    ));
+    program.save_to(&path).unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    text.lines().last().unwrap().to_string()
+}
+
+#[test]
+fn program_artifacts_match_golden_checksums() {
+    let lines: String = pinned_sessions()
+        .iter()
+        .map(|(label, session)| {
+            let program = session.compile().unwrap();
+            format!("{label} {}\n", artifact_checksum(label, &program))
+        })
+        .collect();
+
+    if std::env::var_os("FEATHER_BLESS").is_some() {
+        std::fs::write(ARTIFACTS_PATH, &lines).unwrap();
+        return;
+    }
+
+    let golden = std::fs::read_to_string(ARTIFACTS_PATH)
+        .expect("golden checksums exist; regenerate with FEATHER_BLESS=1");
+    assert_eq!(
+        lines, golden,
+        "a lowered program's artifact drifted from tests/golden/program_artifacts.txt.\n\
+         If the change is intentional, regenerate with\n\
+         FEATHER_BLESS=1 cargo test -p feather-suite --test program_dump_golden"
+    );
 }

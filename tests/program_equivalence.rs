@@ -1,9 +1,10 @@
 //! The graph compiler's contract: lowering a planned DAG to a flat
 //! [`feather::Program`] and replaying it through [`feather::ProgramSession`]
-//! is *bit-identical* to interpreting the same [`feather::GraphSession`] —
-//! not just the output tensor, but the entire [`GraphRun`] report: cycles,
-//! DRAM traffic, scratch accounting and join saturation counts. The artifact
-//! form (save → load → recompile routes) must preserve all of it too.
+//! is *bit-identical* to interpreting the same [`feather::GraphSession`]
+//! step by step ([`feather::GraphSession::run_interpreted`]) — not just the
+//! output tensor, but the entire [`GraphRun`] report: cycles, DRAM traffic,
+//! scratch accounting and join saturation counts. The artifact form (save →
+//! load → recompile routes) must preserve all of it too.
 
 use feather::graph_session::run_graph_reference;
 use feather::{FeatherConfig, GraphSession, ProgramSession};
@@ -91,7 +92,7 @@ proptest! {
         let session = GraphSession::auto(FeatherConfig::new(4, 4), &g).unwrap();
         let iacts = Tensor4::random([batch, c0, hw, hw], seed);
         let weights = g.random_weights(seed + 1000);
-        let run = session.run(&iacts, &weights).unwrap();
+        let run = session.run_interpreted(&iacts, &weights).unwrap();
 
         let program = session.compile().unwrap();
         prop_assert!(program.num_ops() > 0);
@@ -163,7 +164,7 @@ proptest! {
             .collect();
         let interpreted: Vec<_> = samples
             .iter()
-            .map(|s| session.run(s, &weights).unwrap())
+            .map(|s| session.run_interpreted(s, &weights).unwrap())
             .collect();
 
         for lanes in [1usize, 2, 4, 8] {
@@ -202,7 +203,7 @@ fn scaled_resnet50_program_replays_end_to_end() {
     let [_, c, h, w] = g.tensor_shape(g.input());
     let iacts = Tensor4::random([1, c, h, w], 7);
     let weights = g.random_weights(8);
-    let run = session.run(&iacts, &weights).unwrap();
+    let run = session.run_interpreted(&iacts, &weights).unwrap();
 
     let replay = ProgramSession::new(session.compile().unwrap());
     let replayed = replay.run(&iacts, &weights).unwrap();

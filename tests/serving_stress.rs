@@ -99,7 +99,7 @@ fn fixture(name: &'static str, graph: Graph, seed: u64) -> ModelFixture {
         .collect();
     let goldens = inputs
         .iter()
-        .map(|iacts| solo.run(iacts, &weights).unwrap().oacts)
+        .map(|iacts| solo.run_interpreted(iacts, &weights).unwrap().oacts)
         .collect();
     ModelFixture {
         name,
