@@ -321,6 +321,17 @@ pub(crate) struct RouteStream {
 }
 
 impl RouteStream {
+    /// FNV-1a 64 over the `Debug` text of the compiled slots, the per-fire
+    /// slot stream and the block table: one number that changes whenever
+    /// any route, its order of use or a block offset does.
+    pub(crate) fn digest(&self) -> u64 {
+        let text = format!(
+            "{:?}\n{:?}\n{:?}",
+            self.slots, self.stream, self.block_starts
+        );
+        crate::program::fnv1a64(text.as_bytes())
+    }
+
     /// The request behind every slot, in slot order.
     pub(crate) fn requests<'a>(
         &'a self,

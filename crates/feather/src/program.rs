@@ -375,6 +375,7 @@ impl Program {
                     layer.routes.stream.len(),
                     layer.routes.block_starts.len()
                 );
+                let _ = writeln!(out, "      route digest {:016x}", layer.routes.digest());
             }
         }
         let _ = writeln!(out, "joins:");
@@ -1385,7 +1386,7 @@ pub(crate) fn session_fingerprint(session: &GraphSession) -> u64 {
 }
 
 /// FNV-1a 64-bit hash.
-fn fnv1a64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= b as u64;
@@ -2132,6 +2133,34 @@ mod tests {
         assert_eq!(status, ArtifactStatus::Hit);
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The route digest covers each part of a layer's route stream: moving
+    /// a route to another slot, retargeting one fire or shifting one block
+    /// start each changes it, though every count in the `routes` line of
+    /// the dump stays the same.
+    #[test]
+    fn route_digest_tracks_slots_stream_and_blocks() {
+        let g = residual_graph();
+        let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
+        let program = session.compile().unwrap();
+        let routes = &program.segments[1].layers[0].routes;
+        assert!(routes.slots.len() > 1 && routes.block_starts.len() > 1);
+        let base = routes.digest();
+        assert_eq!(routes.clone().digest(), base, "digest is deterministic");
+
+        let mut swapped = routes.clone();
+        swapped.slots.swap(0, 1);
+        assert_ne!(swapped.digest(), base, "slot order");
+
+        let mut retargeted = routes.clone();
+        let first = retargeted.stream[0];
+        retargeted.stream[0] = (first + 1) % retargeted.slots.len() as u32;
+        assert_ne!(retargeted.digest(), base, "stream entry");
+
+        let mut shifted = routes.clone();
+        shifted.block_starts[1] += 1;
+        assert_ne!(shifted.digest(), base, "block start");
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Golden snapshots of compiled programs. [`feather::Program::dump`]: the
 //! human-readable listing of a compiled program is part of the debugging
 //! workflow (it is what you diff when a schedule change moves an op), so its
-//! exact shape is pinned here for a small fixed residual graph. The artifact
-//! checksums pin the lowering itself: every byte of the serialized program
-//! (routes, streams, block tables, ops) for a few fixed programs, including
-//! a co-searched plan that switches layouts between layers. An intentional
-//! change to the compiler or the listing format regenerates both snapshots
-//! with `FEATHER_BLESS=1 cargo test -p feather-suite --test program_dump_golden`.
+//! exact shape is pinned here for a small fixed residual graph. The dump
+//! checksums pin the lowering itself: every layer's route digest (its
+//! compiled routes, fire stream and block table) and every op of a few fixed
+//! programs, including a co-searched plan that switches layouts between
+//! layers. An intentional change to the compiler or the listing format
+//! regenerates both snapshots with
+//! `FEATHER_BLESS=1 cargo test -p feather-suite --test program_dump_golden`.
 
 use std::collections::BTreeSet;
 
@@ -103,14 +104,11 @@ fn program_dump_lists_every_op_family() {
     }
 }
 
-/// The programs whose artifacts are pinned, by label: the residual fixture,
-/// the scaled ResNet-50 at batch 1 and 4, and a co-searched plan of the
-/// residual fixture whose layers switch iAct layouts.
-fn pinned_sessions() -> Vec<(&'static str, GraphSession)> {
+/// The residual fixture's default plan and a co-searched plan of it whose
+/// layers switch iAct layouts, both on a 4x8 fabric.
+fn residual_plans() -> (GraphSession, GraphSession) {
     let residual = fixture();
     let config = FeatherConfig::new(4, 8);
-    let resnet =
-        GraphSession::auto(FeatherConfig::new(8, 16), &resnet50_graph_scaled(16, 16)).unwrap();
     // The built-in candidates are 32 wide; narrow them to the 8-wide fabric
     // so the plan's layouts apply instead of falling back to the defaults.
     let mut arch = ArchSpec::feather_like(config.rows, config.cols);
@@ -143,6 +141,16 @@ fn pinned_sessions() -> Vec<(&'static str, GraphSession)> {
         auto.fingerprint(),
         "the co-searched plan must not fall back to the default schedule"
     );
+    (auto, cosearched)
+}
+
+/// The programs whose lowerings are pinned, by label: the residual fixture,
+/// the scaled ResNet-50 at batch 1 and 4, and a co-searched plan of the
+/// residual fixture whose layers switch iAct layouts.
+fn pinned_sessions() -> Vec<(&'static str, GraphSession)> {
+    let (auto, cosearched) = residual_plans();
+    let resnet =
+        GraphSession::auto(FeatherConfig::new(8, 16), &resnet50_graph_scaled(16, 16)).unwrap();
     vec![
         ("golden_residual", auto),
         ("resnet50_scaled_16_16_b1", resnet.clone()),
@@ -151,17 +159,15 @@ fn pinned_sessions() -> Vec<(&'static str, GraphSession)> {
     ]
 }
 
-/// The trailing `checksum` line of a program's serialized artifact — a hash
-/// over every byte before it.
-fn artifact_checksum(label: &str, program: &Program) -> String {
-    let path = std::env::temp_dir().join(format!(
-        "feather-artifact-golden-{}-{label}.program",
-        std::process::id()
-    ));
-    program.save_to(&path).unwrap();
-    let text = std::fs::read_to_string(&path).unwrap();
-    let _ = std::fs::remove_file(&path);
-    text.lines().last().unwrap().to_string()
+/// FNV-1a 64 of a program's [`Program::dump`], which lists every layer's
+/// route digest next to the tensor table, the segments and the op stream.
+fn dump_checksum(program: &Program) -> u64 {
+    program
+        .dump()
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |hash, b| {
+            (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
 }
 
 #[test]
@@ -170,7 +176,7 @@ fn program_artifacts_match_golden_checksums() {
         .iter()
         .map(|(label, session)| {
             let program = session.compile().unwrap();
-            format!("{label} {}\n", artifact_checksum(label, &program))
+            format!("{label} dump {:016x}\n", dump_checksum(&program))
         })
         .collect();
 
@@ -183,8 +189,40 @@ fn program_artifacts_match_golden_checksums() {
         .expect("golden checksums exist; regenerate with FEATHER_BLESS=1");
     assert_eq!(
         lines, golden,
-        "a lowered program's artifact drifted from tests/golden/program_artifacts.txt.\n\
+        "a lowered program drifted from tests/golden/program_artifacts.txt.\n\
          If the change is intentional, regenerate with\n\
          FEATHER_BLESS=1 cargo test -p feather-suite --test program_dump_golden"
+    );
+}
+
+/// Each layer's `route digest` in listing order.
+fn route_digests(program: &Program) -> Vec<String> {
+    program
+        .dump()
+        .lines()
+        .filter_map(|line| line.trim().strip_prefix("route digest "))
+        .map(String::from)
+        .collect()
+}
+
+/// The route digest is a pure function of the plan: two fresh lowerings of
+/// one session agree on every layer. A co-searched plan of the same graph
+/// reorders the fixture's reductions, and at least one layer's digest shows
+/// it.
+#[test]
+fn route_digests_are_stable_and_track_the_plan() {
+    let (auto, cosearched) = residual_plans();
+    let default_digests = route_digests(&auto.compile().unwrap());
+    let (again, _) = residual_plans();
+    assert_eq!(route_digests(&again.compile().unwrap()), default_digests);
+
+    let cosearched_digests = route_digests(&cosearched.compile().unwrap());
+    assert_eq!(cosearched_digests.len(), default_digests.len());
+    assert!(
+        default_digests
+            .iter()
+            .zip(&cosearched_digests)
+            .any(|(a, b)| a != b),
+        "co-searched routes must differ from the default plan's in some layer"
     );
 }
