@@ -39,6 +39,11 @@
 //! faults), recording throughput alongside the retry/panic/respawn counters
 //! — the cost of fault tolerance when faults actually fire.
 //!
+//! Schema change: the `serving` rows no longer carry the two `artifact_*`
+//! hit/miss columns. They counted an on-disk program cache that has been
+//! removed (every model now lowers in memory), so older `BENCH_<n>.json`
+//! files have two columns that newer snapshots lack.
+//!
 //! `--pr N` stamps the snapshot and derives the default output path
 //! `BENCH_N.json` (default: 10, the PR that added fault-tolerant serving —
 //! pass the current PR number when committing a new snapshot).
@@ -296,8 +301,6 @@ struct ServingPoint {
     program_hits: u64,
     /// Batches that forced a compile (at most one: the model's program).
     program_misses: u64,
-    artifact_hits: u64,
-    artifact_misses: u64,
 }
 
 fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
@@ -419,8 +422,6 @@ fn serving_sweep(iters: usize) -> Vec<ServingPoint> {
                 rejected: stats.rejected,
                 program_hits: programs.hits,
                 program_misses: programs.misses,
-                artifact_hits: programs.artifact_hits,
-                artifact_misses: programs.artifact_misses,
             }
         })
         .collect()
@@ -724,7 +725,7 @@ fn main() {
              \"throughput_rps\": {:.1}, \
              \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"executed_batches\": {}, \
              \"mean_batch\": {:.2}, \"rejected\": {}, \"program_hits\": {}, \
-             \"program_misses\": {}, \"artifact_hits\": {}, \"artifact_misses\": {}}}{}\n",
+             \"program_misses\": {}}}{}\n",
             p.max_batch,
             p.workers,
             p.requests,
@@ -736,8 +737,6 @@ fn main() {
             p.rejected,
             p.program_hits,
             p.program_misses,
-            p.artifact_hits,
-            p.artifact_misses,
             if i + 1 < serving.len() { "," } else { "" }
         ));
     }

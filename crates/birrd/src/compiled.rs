@@ -186,7 +186,7 @@ impl CompiledRoute {
     ///
     /// `inputs` and `outputs` are port-major lane stripes (`lanes` consecutive
     /// values per port, so port `p` lane `l` lives at `p * lanes + l`);
-    /// `present` / `out_present` carry the per-port presence that
+    /// `present` carries the per-port input presence that
     /// [`CompiledRoute::run`]'s `Option`s encode, shared by every lane. This
     /// is exact for the batched replay backend because presence there is
     /// data-independent: whether a column carries data depends only on the
@@ -195,13 +195,14 @@ impl CompiledRoute {
     /// For each lane the result is bit-identical to a scalar [`run`] over that
     /// lane's inputs: copies move stripes, gathers iterate the source ports
     /// once and sum the present sources' stripes with no per-lane checks.
-    /// Output stripes of absent ports are zero-filled.
+    /// Output stripes of absent ports are zero-filled, which is what the
+    /// scalar run's `unwrap_or(0)` reads there.
     ///
     /// [`run`]: CompiledRoute::run
     ///
     /// # Errors
-    /// Returns [`EvalError::WidthMismatch`] if `present`/`out_present` are not
-    /// width-sized or the stripe slices are not `width * lanes` long.
+    /// Returns [`EvalError::WidthMismatch`] if `present` is not width-sized
+    /// or the stripe slices are not `width * lanes` long.
     #[inline(always)]
     pub fn run_batched(
         &self,
@@ -209,36 +210,30 @@ impl CompiledRoute {
         present: &[bool],
         lanes: usize,
         outputs: &mut [i64],
-        out_present: &mut [bool],
     ) -> Result<(), EvalError> {
         let lanes = lanes.max(1);
         for (len, expected) in [
             (inputs.len(), self.width * lanes),
             (outputs.len(), self.width * lanes),
             (present.len(), self.width),
-            (out_present.len(), self.width),
         ] {
             if len != expected {
                 return Err(EvalError::WidthMismatch { expected, got: len });
             }
         }
         outputs.fill(0);
-        out_present.fill(false);
         for &(port, src) in &self.copies {
             let (port, src) = (port as usize, src as usize);
             if present[src] {
-                out_present[port] = true;
                 outputs[port * lanes..(port + 1) * lanes]
                     .copy_from_slice(&inputs[src * lanes..(src + 1) * lanes]);
             }
         }
         for &(port, start, end) in &self.gathers {
             let port = port as usize;
-            let mut any = false;
             for &src in &self.sources[start as usize..end as usize] {
                 let src = src as usize;
                 if present[src] {
-                    any = true;
                     let stripe = &inputs[src * lanes..(src + 1) * lanes];
                     for (acc, v) in outputs[port * lanes..(port + 1) * lanes]
                         .iter_mut()
@@ -248,7 +243,6 @@ impl CompiledRoute {
                     }
                 }
             }
-            out_present[port] = any;
         }
         Ok(())
     }
@@ -363,9 +357,8 @@ mod tests {
                     .map(|i| (i as i64 + 1) * if i % 2 == 0 { 3 } else { -2 })
                     .collect();
                 let mut outputs = vec![0i64; 8 * lanes];
-                let mut out_present = vec![false; 8];
                 compiled
-                    .run_batched(&inputs, &present, lanes, &mut outputs, &mut out_present)
+                    .run_batched(&inputs, &present, lanes, &mut outputs)
                     .unwrap();
                 for lane in 0..lanes {
                     let solo_in: Vec<Option<i64>> = (0..8)
@@ -374,11 +367,6 @@ mod tests {
                     let mut solo_out = vec![None; 8];
                     compiled.run(&solo_in, &mut solo_out).unwrap();
                     for p in 0..8 {
-                        assert_eq!(
-                            solo_out[p].is_some(),
-                            out_present[p],
-                            "presence mismatch at port {p} ({groups:?})"
-                        );
                         assert_eq!(
                             solo_out[p].unwrap_or(0),
                             outputs[p * lanes + lane],
@@ -395,12 +383,11 @@ mod tests {
         let birrd = Birrd::new(4).unwrap();
         let (_, compiled) = compile_for(&birrd, &[(vec![0, 1], 0)]);
         let mut outputs = vec![0i64; 8];
-        let mut out_present = vec![false; 4];
         assert!(compiled
-            .run_batched(&[0; 7], &[true; 4], 2, &mut outputs, &mut out_present)
+            .run_batched(&[0; 7], &[true; 4], 2, &mut outputs)
             .is_err());
         assert!(compiled
-            .run_batched(&[0; 8], &[true; 3], 2, &mut outputs, &mut out_present)
+            .run_batched(&[0; 8], &[true; 3], 2, &mut outputs)
             .is_err());
     }
 

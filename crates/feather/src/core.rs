@@ -23,8 +23,9 @@
 //!   (one sample per lane) and every op runs once across all lanes, with
 //!   accounting that describes a single sample. The lane count is a const
 //!   generic: `run_conv_core` picks a one-lane instantiation for the
-//!   interpreter, the compile pass and single-sample replay, in which every
-//!   per-lane loop folds away.
+//!   interpreter and single-sample replay, in which every per-lane loop
+//!   folds away. Lowering ([`lower_routes`]) runs no core: it walks the
+//!   fire schedule alone.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::ops::Range;
@@ -227,8 +228,7 @@ impl RouteCache {
 /// bits of its `c_cols`-wide column span (`c_cols.div_ceil(32)` words). Every
 /// group maps at least one lane, so a key and the pass's [`ReductionRequest`]
 /// determine each other one-to-one, for any `c_cols` — the key is what the
-/// lowering memoizes routes under and what a [`RouteStream`] keeps resident,
-/// at a fraction of the request's size.
+/// lowering memoizes routes under, at a fraction of the request's size.
 type RouteKey = Box<[u32]>;
 
 /// Words one group occupies in a [`RouteKey`].
@@ -283,39 +283,14 @@ fn expand_key(request: &mut ReductionRequest, key: &[u32], c_cols: usize) {
     }
 }
 
-/// The [`RouteKey`] of a request, or `None` when no pass of this layer
-/// shape can produce it (the key must expand back to the very same request).
-fn key_of(request: &ReductionRequest, cols: usize, c_cols: usize) -> Option<RouteKey> {
-    let mut key = Vec::with_capacity(request.group_destinations.len() * key_stride(c_cols));
-    for (gid, (&dest_gid, &bank)) in request.group_destinations.iter().enumerate() {
-        if dest_gid != gid {
-            return None;
-        }
-        let q_lane = request.input_groups.iter().position(|&g| g == Some(gid))? / c_cols;
-        key.push(q_lane as u32);
-        key.push(bank as u32);
-        let span = request
-            .input_groups
-            .get(q_lane * c_cols..(q_lane + 1) * c_cols)?;
-        let live: Vec<bool> = span.iter().map(|&g| g == Some(gid)).collect();
-        push_lane_bits(&mut key, &live);
-    }
-    let mut expanded = blank_request(cols);
-    expand_key(&mut expanded, &key, c_cols);
-    (expanded == *request).then(|| key.into())
-}
-
 /// A frozen route consumption sequence for one layer: the deduplicated
-/// compiled programs (`slots`), their [`RouteKey`]s (kept so a program
-/// artifact can be serialized and the routes deterministically recompiled on
-/// load), the per-fire slot indices in serial order, and the stream offset at
-/// which each `(wt_m, wt_c, n)` work block begins. The replay path borrows
-/// `&CompiledRoute` straight from the slot, with no hashing and no `Arc`
-/// traffic.
+/// compiled programs (`slots`), the per-fire slot indices in serial order,
+/// and the stream offset at which each `(wt_m, wt_c, n)` work block begins.
+/// The replay path borrows `&CompiledRoute` straight from the slot, with no
+/// hashing and no `Arc` traffic.
 #[derive(Debug, Clone)]
 pub(crate) struct RouteStream {
     pub(crate) slots: Vec<Arc<CompiledRoute>>,
-    keys: Vec<RouteKey>,
     pub(crate) stream: Vec<u32>,
     pub(crate) block_starts: Vec<u32>,
 }
@@ -330,50 +305,6 @@ impl RouteStream {
             self.slots, self.stream, self.block_starts
         );
         crate::program::fnv1a64(text.as_bytes())
-    }
-
-    /// The request behind every slot, in slot order.
-    pub(crate) fn requests<'a>(
-        &'a self,
-        ctx: &'a LayerExec,
-    ) -> impl Iterator<Item = ReductionRequest> + 'a {
-        self.keys.iter().map(|key| {
-            let mut request = blank_request(ctx.cols);
-            expand_key(&mut request, key, ctx.c_cols);
-            request
-        })
-    }
-
-    /// Rebuilds a stream from its serialized parts by re-routing every
-    /// request (routing is deterministic, so the recompiled programs are
-    /// identical to the recorded ones).
-    pub(crate) fn recompile(
-        ctx: &LayerExec,
-        requests: Vec<ReductionRequest>,
-        stream: Vec<u32>,
-        block_starts: Vec<u32>,
-    ) -> Result<Self, ArchError> {
-        let invalid = |what: &str| ArchError::InvalidDataflow(format!("route stream {what}"));
-        let keys = requests
-            .iter()
-            .map(|request| {
-                key_of(request, ctx.cols, ctx.c_cols)
-                    .ok_or_else(|| invalid("holds a request no pass of the layer makes"))
-            })
-            .collect::<Result<Vec<_>, ArchError>>()?;
-        let slots = requests
-            .iter()
-            .map(|request| route_and_compile(&ctx.birrd, request).map(Arc::new))
-            .collect::<Result<Vec<_>, ArchError>>()?;
-        if stream.iter().any(|&slot| slot as usize >= slots.len()) {
-            return Err(invalid("references an out-of-range slot"));
-        }
-        Ok(RouteStream {
-            slots,
-            keys,
-            stream,
-            block_starts,
-        })
     }
 }
 
@@ -440,13 +371,8 @@ pub(crate) fn lower_routes(ctx: &LayerExec, cache: &RouteCache) -> Result<RouteS
             }
         }
     }
-    let mut keys = vec![RouteKey::default(); slots.len()];
-    for (key, slot) in slot_of {
-        keys[slot as usize] = key;
-    }
     Ok(RouteStream {
         slots,
-        keys,
         stream,
         block_starts,
     })
@@ -796,11 +722,12 @@ fn lane_count<const L: usize>(view: &LayoutView<'_, i32>) -> usize {
     }
 }
 
-/// The inner tile loop shared by the single-layer entry point, the
-/// network-level pipeline executor and program replay:
-/// weight-stationary tiling over `(M, C)`, Phase-1 local temporal reduction
-/// in NEST, Phase-2 row fires through BIRRD with Reorder-in-Reduction into
-/// the output view.
+/// The inner tile loop shared by the interpreter (`NetworkSession`'s
+/// pipeline executor, which also runs `Feather`'s one-layer calls and
+/// `GraphSession::run_interpreted`) and program replay: weight-stationary
+/// tiling over `(M, C)`, Phase-1 local temporal reduction in NEST, Phase-2
+/// row fires through BIRRD with Reorder-in-Reduction into the output view.
+/// Lowering never runs it.
 ///
 /// `iact` is the active StaB half (the layer's inputs, already staged in
 /// `mapping.iact_layout`); `oact` is the shadow half the reduced outputs land
@@ -1026,7 +953,6 @@ fn run_span<const L: usize>(
     let mut inputs: Vec<i64> = vec![0; cols * lanes];
     let mut outputs: Vec<i64> = vec![0; cols * lanes];
     let mut in_present: Vec<bool> = vec![false; cols];
-    let mut out_present: Vec<bool> = vec![false; cols];
     let mut lane_vals: Vec<i8> = vec![0; lanes];
     let mut passes = FirePasses::new(ctx);
     let mut key: Vec<u32> = Vec::new();
@@ -1124,13 +1050,7 @@ fn run_span<const L: usize>(
                                     }
                                 }
                                 route
-                                    .run_batched(
-                                        &inputs,
-                                        &in_present,
-                                        lanes,
-                                        &mut outputs,
-                                        &mut out_present,
-                                    )
+                                    .run_batched(&inputs, &in_present, lanes, &mut outputs)
                                     .expect("compiled route matches the network width");
                                 accum.birrd_passes += 1;
                                 accum.birrd_adds += route.adder_activations() as u64;
@@ -1338,8 +1258,8 @@ mod tests {
         }
     }
 
-    /// A pass's compact key and its request determine each other exactly,
-    /// including spans wider than one 32-bit key word.
+    /// A pass's compact key expands back to exactly its request, including
+    /// spans wider than one 32-bit key word.
     #[test]
     fn route_keys_round_trip_requests_for_any_span_width() {
         for (cols, c_cols) in [(8usize, 1usize), (16, 4), (128, 40)] {
@@ -1374,15 +1294,6 @@ mod tests {
             let mut expanded = blank_request(cols);
             expand_key(&mut expanded, &key, c_cols);
             assert_eq!(expanded, request, "{cols}/{c_cols}");
-            assert_eq!(key_of(&request, cols, c_cols).as_deref(), Some(&key[..]));
-            // A request no pass makes (a group straddling two spans) has no key.
-            if c_cols > 1 {
-                let mut straddling = request.clone();
-                let lane = c_cols - 1;
-                straddling.input_groups[lane] = Some(0);
-                straddling.input_groups[lane + 1] = Some(0);
-                assert_eq!(key_of(&straddling, cols, c_cols), None);
-            }
         }
     }
 

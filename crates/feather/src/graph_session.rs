@@ -362,25 +362,10 @@ impl GraphSession {
             .clone()
     }
 
-    /// Like [`GraphSession::compile`], but backed by the on-disk artifact
-    /// cache under `FEATHER_CACHE_DIR/programs/` (next to the co-search
-    /// cache): a matching artifact is loaded instead of recompiled, and a
-    /// fresh compile is saved back. Returns the program together with where
-    /// it came from.
-    ///
-    /// # Errors
-    /// Same conditions as [`GraphSession::compile`]; artifact I/O failures
-    /// degrade to a recompile, never to an error. A corrupt or stale
-    /// artifact (checksum failure, truncation, old format, fingerprint
-    /// mismatch) is quarantined aside as `<name>.bad` and recompiled.
-    pub fn compile_cached(&self) -> Result<(crate::Program, crate::ArtifactStatus), ArchError> {
-        crate::program::compile_cached(self)
-    }
-
     /// A stable fingerprint of everything that determines this session's
     /// compiled program: hardware config, batch, quantization, the schedule
-    /// (mappings and layouts) and the graph structure. Keys the on-disk
-    /// program artifacts.
+    /// (mappings and layouts) and the graph structure. Keys the buffers a
+    /// [`crate::ReplayScratch`] keeps between replays.
     pub fn fingerprint(&self) -> u64 {
         crate::program::session_fingerprint(self)
     }

@@ -1,6 +1,6 @@
 //! Ahead-of-time graph compilation: lower a planned [`GraphSession`] into a
-//! flat, serializable [`Program`] of ops and replay it with zero per-layer
-//! planning — the accelerator-as-ISA execution model.
+//! flat [`Program`] of ops and replay it with zero per-layer planning — the
+//! accelerator-as-ISA execution model.
 //!
 //! A graph's whole schedule — every layer's dataflow, layout, fire order and
 //! BIRRD route — is fixed before any data arrives. Lowering resolves all of
@@ -18,12 +18,6 @@
 //!   [`GraphSession::run_interpreted`] — outputs, cycle counts, access
 //!   statistics, energy, the whole [`GraphRun`] report (enforced by the
 //!   `program_equivalence` suite).
-//! * **On-disk artifacts** — [`GraphSession::compile_cached`] persists
-//!   programs under `FEATHER_CACHE_DIR/programs/` (next to layoutloop's
-//!   co-search cache), keyed by a schedule fingerprint. Loading an artifact
-//!   skips the lowering entirely; the recorded route *requests* are
-//!   re-routed deterministically, so artifacts stay small and the compiled
-//!   programs identical.
 //! * **[`Program::dump`]** — a diffable text listing of exactly what a run
 //!   will do, locked down by a golden snapshot test.
 //!
@@ -37,58 +31,23 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use feather_arch::energy::EnergyModel;
 use feather_arch::graph::{NodeId, NodeOp, TensorId};
 use feather_arch::tensor::{quantize_to_i8, quantize_value, saturating_add_i8, Tensor4};
-use feather_arch::workload::{ConvKind, ConvLayer};
+use feather_arch::workload::ConvKind;
 use feather_arch::{ArchError, Dim};
-use feather_birrd::ReductionRequest;
 use feather_memsim::{BufferSpec, LayoutView, PingPong, ScratchRegion};
 
 use crate::accelerator::check_weight_shape;
 use crate::config::FeatherConfig;
 use crate::core::{lower_routes, run_conv_core, LayerExec, RouteExecution, RouteStream};
 use crate::graph_session::{pool_window_weights, widen, GraphSession, Step};
-use crate::mapping::LayerMapping;
 use crate::report::{
     GraphReport, GraphRun, JoinSummary, LayerSummary, NetworkReport, SegmentSummary,
 };
 use crate::session::{for_each_oact, iact_spec, layer_summary, oact_spec};
-
-/// Format header of a serialized program artifact; bump on layout changes
-/// (unknown versions degrade to a recompile, never to an error). v2 added
-/// the trailing whole-file `checksum` line.
-const HEADER: &str = "feather-program v2";
-
-/// Where a compiled program came from in [`GraphSession::compile_cached`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArtifactStatus {
-    /// Loaded from a matching on-disk artifact — no compile pass ran.
-    Hit,
-    /// Compiled fresh and saved back to the artifact cache.
-    Miss,
-    /// `FEATHER_CACHE_DIR` is unset — compiled fresh, nothing persisted.
-    Disabled,
-    /// An artifact existed at the right path but was unusable — bad
-    /// checksum, truncation, stale format, or a fingerprint mismatch. It
-    /// was renamed aside to `<name>.bad` (so it is detected exactly once,
-    /// not re-parsed on every cache miss) and a fresh compile replaced it.
-    Quarantined,
-}
-
-/// What [`Program::load_checked`] found on disk.
-#[derive(Debug)]
-pub(crate) enum LoadOutcome {
-    /// Parsed and checksum-verified.
-    Loaded(Box<Program>),
-    /// A file exists but is unusable (corrupt, truncated, or stale format).
-    Corrupt,
-    /// No file (or it is unreadable).
-    Missing,
-}
 
 /// One slot of a program's tensor table: a graph tensor's id, its scratch
 /// key and its batched run-time shape.
@@ -202,9 +161,8 @@ enum Op {
 
 /// A flat, replayable lowering of a planned graph: every layout, location
 /// plan, BIRRD route and scratch move resolved ahead of time. Produced by
-/// [`GraphSession::compile`], executed by [`ProgramSession`], serialized to
-/// the `FEATHER_CACHE_DIR/programs/` artifact cache. Cloning is cheap: the
-/// compiled segments (the bulk of a program) are shared.
+/// [`GraphSession::compile`] and executed by [`ProgramSession`]. Cloning is
+/// cheap: the compiled segments (the bulk of a program) are shared.
 #[derive(Debug, Clone)]
 pub struct Program {
     name: String,
@@ -259,47 +217,6 @@ impl Program {
             .flat_map(|s| &s.layers)
             .map(|l| l.routes.stream.len())
             .sum()
-    }
-
-    /// The default artifact location for this program:
-    /// `FEATHER_CACHE_DIR/programs/<name>-b<batch>-<fingerprint>.program`,
-    /// or `None` when `FEATHER_CACHE_DIR` is unset.
-    pub fn artifact_path(&self) -> Option<PathBuf> {
-        cache_dir().map(|dir| artifact_path(&dir, &self.name, self.batch, self.fingerprint))
-    }
-
-    /// Serializes the program to `path` (parent directories are created).
-    ///
-    /// # Errors
-    /// Propagates filesystem errors.
-    pub fn save_to(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.serialize())
-    }
-
-    /// Loads a program from `path`. Any failure — missing file, unknown
-    /// header version, checksum mismatch, malformed content, an unroutable
-    /// recorded request — returns `None` so callers degrade to a recompile.
-    pub fn load_from(path: &Path) -> Option<Program> {
-        match Program::load_checked(path) {
-            LoadOutcome::Loaded(program) => Some(*program),
-            LoadOutcome::Corrupt | LoadOutcome::Missing => None,
-        }
-    }
-
-    /// [`Program::load_from`] distinguishing *no artifact* from *a corrupt
-    /// one*, so the artifact cache can quarantine the latter instead of
-    /// re-parsing it on every miss.
-    pub(crate) fn load_checked(path: &Path) -> LoadOutcome {
-        let Ok(text) = std::fs::read_to_string(path) else {
-            return LoadOutcome::Missing;
-        };
-        match parse_program(&text) {
-            Some(program) => LoadOutcome::Loaded(Box::new(program)),
-            None => LoadOutcome::Corrupt,
-        }
     }
 
     /// A diffable text listing of exactly what a replayed run does: the
@@ -419,145 +336,6 @@ impl Program {
             };
             let _ = writeln!(out, "  {i:04} {text}");
         }
-        out
-    }
-
-    // ---------------------------------------------------------------- save
-
-    fn serialize(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{HEADER}");
-        let threads = match self.threads {
-            Some(n) => n.to_string(),
-            None => "auto".to_string(),
-        };
-        let _ = writeln!(
-            out,
-            "meta name={} rows={} cols={} stab={} strb={} batch={} shift={} zero={} \
-             threads={} fp={:016x} input={}",
-            esc(&self.name),
-            self.config.rows,
-            self.config.cols,
-            self.config.stab_lines,
-            self.config.strb_lines,
-            self.batch,
-            self.quant_shift,
-            self.quant_zero,
-            threads,
-            self.fingerprint,
-            self.input_slot
-        );
-        for slot in &self.tensors {
-            let _ = writeln!(
-                out,
-                "tensor id={} shape={}",
-                slot.id,
-                join_usizes(&slot.shape)
-            );
-        }
-        for seg in self.segments.iter() {
-            let _ = writeln!(
-                out,
-                "segment in={} out={} gin={} gout={}",
-                seg.input,
-                seg.output,
-                u8::from(seg.graph_input),
-                u8::from(seg.graph_output)
-            );
-        }
-        for (si, seg) in self.segments.iter().enumerate() {
-            for (li, layer) in seg.layers.iter().enumerate() {
-                let l = &layer.exec.layer;
-                let m = &layer.exec.mapping;
-                let wsrc = match &layer.weight {
-                    WeightSource::Node(id) => format!("n{}", id.0),
-                    WeightSource::Pool(_) => "pool".to_string(),
-                };
-                let _ = writeln!(
-                    out,
-                    "layer seg={si} name={} conv={},{},{},{},{},{},{},{},{},{} \
-                     map={},{},{} iact={} oact={} wsrc={wsrc}",
-                    esc(&seg.names[li]),
-                    l.n,
-                    l.m,
-                    l.c,
-                    l.h,
-                    l.w,
-                    l.r,
-                    l.s,
-                    l.stride,
-                    l.padding,
-                    kind_token(l.kind),
-                    m.m_rows,
-                    m.c_cols,
-                    m.q_cols,
-                    esc(&m.iact_layout.to_string()),
-                    esc(&m.oact_layout.to_string())
-                );
-                for request in layer.routes.requests(&layer.exec) {
-                    let groups: Vec<String> = request
-                        .input_groups
-                        .iter()
-                        .map(|g| match g {
-                            Some(gid) => gid.to_string(),
-                            None => "-".to_string(),
-                        })
-                        .collect();
-                    let dests: Vec<String> = request
-                        .group_destinations
-                        .iter()
-                        .map(|(gid, bank)| format!("{gid}:{bank}"))
-                        .collect();
-                    let _ = writeln!(
-                        out,
-                        "slot seg={si} layer={li} groups={} dests={}",
-                        groups.join(","),
-                        dests.join(",")
-                    );
-                }
-                let _ = writeln!(
-                    out,
-                    "stream seg={si} layer={li} {}",
-                    rle_encode(&layer.routes.stream)
-                );
-                let deltas = deltas_of(&layer.routes.block_starts);
-                let _ = writeln!(out, "blocks seg={si} layer={li} {}", rle_encode(&deltas));
-            }
-        }
-        for join in &self.joins {
-            let _ = writeln!(
-                out,
-                "join name={} out={} a={} b={} gout={}",
-                esc(&join.name),
-                join.output,
-                operand_token(join.a),
-                operand_token(join.b),
-                u8::from(join.graph_output)
-            );
-        }
-        for op in &self.ops {
-            let line = match *op {
-                Op::Stage { seg, fresh, take } => format!(
-                    "op stage seg={seg} fresh={} take={}",
-                    u8::from(fresh),
-                    u8::from(take)
-                ),
-                Op::Fire { seg, layer } => format!("op fire seg={seg} layer={layer}"),
-                Op::Reorder { seg, layer } => format!("op reorder seg={seg} layer={layer}"),
-                Op::Swap { seg } => format!("op swap seg={seg}"),
-                Op::Drain { seg } => format!("op drain seg={seg}"),
-                Op::Join { join } => format!("op join join={join}"),
-                Op::Park { tensor } => format!("op park t={tensor}"),
-                Op::Unpark { tensor, free } => {
-                    format!("op unpark t={tensor} free={}", u8::from(free))
-                }
-            };
-            let _ = writeln!(out, "{line}");
-        }
-        // Whole-file integrity: the checksum covers every byte above it, so
-        // truncation, bit flips and partial writes are all detected on load.
-        let sum = fnv1a64(out.as_bytes());
-        let _ = writeln!(out, "checksum {sum:016x}");
         out
     }
 }
@@ -1245,76 +1023,6 @@ pub(crate) fn compile(session: &GraphSession) -> Result<Program, ArchError> {
     })
 }
 
-/// Compile through the on-disk artifact cache — the implementation behind
-/// [`GraphSession::compile_cached`].
-pub(crate) fn compile_cached(
-    session: &GraphSession,
-) -> Result<(Program, ArtifactStatus), ArchError> {
-    let Some(dir) = cache_dir() else {
-        return Ok((session.compile()?, ArtifactStatus::Disabled));
-    };
-    compile_cached_in(session, &dir)
-}
-
-/// [`compile_cached`] against an explicit cache root (testable without
-/// touching `FEATHER_CACHE_DIR`). A corrupt or stale artifact is renamed
-/// aside to `<name>.bad` before the recompile overwrites its path — it is
-/// detected exactly once, never re-parsed on later misses.
-pub(crate) fn compile_cached_in(
-    session: &GraphSession,
-    dir: &Path,
-) -> Result<(Program, ArtifactStatus), ArchError> {
-    let fingerprint = session_fingerprint(session);
-    let path = artifact_path(dir, &session.graph().name, session.batch(), fingerprint);
-    let status = match Program::load_checked(&path) {
-        LoadOutcome::Loaded(program) if program.fingerprint == fingerprint => {
-            return Ok((*program, ArtifactStatus::Hit));
-        }
-        // The path encodes the fingerprint, so parseable-but-mismatched
-        // content is just as wrong as a bad checksum.
-        LoadOutcome::Loaded(_) | LoadOutcome::Corrupt => {
-            quarantine(&path);
-            ArtifactStatus::Quarantined
-        }
-        LoadOutcome::Missing => ArtifactStatus::Miss,
-    };
-    let program = session.compile()?;
-    // Persistence is best-effort: an unwritable cache degrades to recompiles.
-    let _ = program.save_to(&path);
-    Ok((program, status))
-}
-
-/// Renames an unusable artifact to `<name>.bad` (best-effort) so it is kept
-/// for inspection but never consulted — or re-parsed — again.
-fn quarantine(path: &Path) {
-    let mut bad = path.as_os_str().to_os_string();
-    bad.push(".bad");
-    let _ = std::fs::rename(path, &bad);
-}
-
-/// The artifact cache root: `FEATHER_CACHE_DIR` (shared with layoutloop's
-/// co-search cache), or `None` when unset.
-fn cache_dir() -> Option<PathBuf> {
-    std::env::var_os("FEATHER_CACHE_DIR").map(PathBuf::from)
-}
-
-/// The artifact file for a `(model, batch, fingerprint)` triple, inside the
-/// `programs/` subdirectory of the cache root.
-fn artifact_path(dir: &Path, name: &str, batch: usize, fingerprint: u64) -> PathBuf {
-    let safe: String = name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '.' || c == '_' || c == '-' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    dir.join("programs")
-        .join(format!("{safe}-b{batch}-{fingerprint:016x}.program"))
-}
-
 /// FNV-1a 64 fingerprint of everything that determines a session's compiled
 /// program — the implementation behind [`GraphSession::fingerprint`].
 pub(crate) fn session_fingerprint(session: &GraphSession) -> u64 {
@@ -1395,319 +1103,6 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-// -------------------------------------------------------------------- load
-
-/// Parses a serialized program; `None` on any malformed content, including
-/// a missing or mismatched trailing checksum line.
-fn parse_program(text: &str) -> Option<Program> {
-    // The artifact ends with `checksum <fnv1a64-hex>` covering every byte
-    // before it; verify that first so truncation or bit flips anywhere in
-    // the body fail fast instead of surfacing as a puzzling parse error.
-    let sum_at = text.rfind("checksum ")?;
-    if sum_at != 0 && text.as_bytes()[sum_at - 1] != b'\n' {
-        return None;
-    }
-    let expected =
-        u64::from_str_radix(text[sum_at..].trim_end().strip_prefix("checksum ")?, 16).ok()?;
-    let covered = &text[..sum_at];
-    if fnv1a64(covered.as_bytes()) != expected {
-        return None;
-    }
-
-    let mut lines = covered.lines();
-    if lines.next()? != HEADER {
-        return None;
-    }
-
-    struct LayerParts {
-        name: String,
-        layer: ConvLayer,
-        mapping: LayerMapping,
-        pool: bool,
-        weight_node: usize,
-        requests: Vec<ReductionRequest>,
-        stream: Vec<u32>,
-        block_starts: Vec<u32>,
-    }
-    struct SegmentParts {
-        input: usize,
-        output: usize,
-        graph_input: bool,
-        graph_output: bool,
-        layers: Vec<LayerParts>,
-    }
-
-    let mut name = String::new();
-    let mut config: Option<FeatherConfig> = None;
-    let mut batch = 0usize;
-    let mut quant_shift = 0u32;
-    let mut quant_zero = 0i8;
-    let mut threads: Option<usize> = None;
-    let mut fingerprint = 0u64;
-    let mut input_slot = 0usize;
-    let mut tensors: Vec<TensorSlot> = Vec::new();
-    let mut segments: Vec<SegmentParts> = Vec::new();
-    let mut joins: Vec<JoinSpec> = Vec::new();
-    let mut ops: Vec<Op> = Vec::new();
-
-    for line in lines {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let tag = parts.next()?;
-        let kv: Vec<(&str, &str)> = parts
-            .clone()
-            .filter_map(|tok| tok.split_once('='))
-            .collect();
-        let get =
-            |key: &str| -> Option<&str> { kv.iter().find(|(k, _)| *k == key).map(|(_, v)| *v) };
-        match tag {
-            "meta" => {
-                name = unesc(get("name")?);
-                config = Some(FeatherConfig {
-                    rows: get("rows")?.parse().ok()?,
-                    cols: get("cols")?.parse().ok()?,
-                    stab_lines: get("stab")?.parse().ok()?,
-                    strb_lines: get("strb")?.parse().ok()?,
-                });
-                batch = get("batch")?.parse().ok()?;
-                quant_shift = get("shift")?.parse().ok()?;
-                quant_zero = get("zero")?.parse().ok()?;
-                threads = match get("threads")? {
-                    "auto" => None,
-                    n => Some(n.parse().ok()?),
-                };
-                fingerprint = u64::from_str_radix(get("fp")?, 16).ok()?;
-                input_slot = get("input")?.parse().ok()?;
-            }
-            "tensor" => {
-                let id: usize = get("id")?.parse().ok()?;
-                let shape = parse_usizes::<4>(get("shape")?)?;
-                tensors.push(TensorSlot {
-                    id,
-                    key: format!("t{id}"),
-                    shape,
-                });
-            }
-            "segment" => {
-                segments.push(SegmentParts {
-                    input: get("in")?.parse().ok()?,
-                    output: get("out")?.parse().ok()?,
-                    graph_input: get("gin")? == "1",
-                    graph_output: get("gout")? == "1",
-                    layers: Vec::new(),
-                });
-            }
-            "layer" => {
-                let si: usize = get("seg")?.parse().ok()?;
-                let conv = get("conv")?;
-                let mut fields = conv.split(',');
-                let n: usize = fields.next()?.parse().ok()?;
-                let m: usize = fields.next()?.parse().ok()?;
-                let c: usize = fields.next()?.parse().ok()?;
-                let h: usize = fields.next()?.parse().ok()?;
-                let w: usize = fields.next()?.parse().ok()?;
-                let r: usize = fields.next()?.parse().ok()?;
-                let s: usize = fields.next()?.parse().ok()?;
-                let stride: usize = fields.next()?.parse().ok()?;
-                let padding: usize = fields.next()?.parse().ok()?;
-                let kind = parse_kind(fields.next()?)?;
-                let layer_name = unesc(get("name")?);
-                let mut layer = ConvLayer::new(n, m, c, h, w, r, s)
-                    .with_stride(stride)
-                    .with_padding(padding)
-                    .with_name(layer_name.clone());
-                layer.kind = kind;
-                let map = parse_usizes::<3>(get("map")?)?;
-                let mapping = LayerMapping {
-                    m_rows: map[0],
-                    c_cols: map[1],
-                    q_cols: map[2],
-                    iact_layout: unesc(get("iact")?).parse().ok()?,
-                    oact_layout: unesc(get("oact")?).parse().ok()?,
-                };
-                let (pool, weight_node) = match get("wsrc")? {
-                    "pool" => (true, 0),
-                    w => (false, w.strip_prefix('n')?.parse().ok()?),
-                };
-                segments.get_mut(si)?.layers.push(LayerParts {
-                    name: layer_name,
-                    layer,
-                    mapping,
-                    pool,
-                    weight_node,
-                    requests: Vec::new(),
-                    stream: Vec::new(),
-                    block_starts: Vec::new(),
-                });
-            }
-            "slot" => {
-                let si: usize = get("seg")?.parse().ok()?;
-                let li: usize = get("layer")?.parse().ok()?;
-                let input_groups: Vec<Option<usize>> = get("groups")?
-                    .split(',')
-                    .map(|tok| {
-                        if tok == "-" {
-                            Some(None)
-                        } else {
-                            tok.parse().ok().map(Some)
-                        }
-                    })
-                    .collect::<Option<Vec<_>>>()?;
-                let mut group_destinations = BTreeMap::new();
-                let dests = get("dests")?;
-                if !dests.is_empty() {
-                    for pair in dests.split(',') {
-                        let (gid, bank) = pair.split_once(':')?;
-                        group_destinations.insert(gid.parse().ok()?, bank.parse().ok()?);
-                    }
-                }
-                segments
-                    .get_mut(si)?
-                    .layers
-                    .get_mut(li)?
-                    .requests
-                    .push(ReductionRequest {
-                        input_groups,
-                        group_destinations,
-                    });
-            }
-            "stream" => {
-                let si: usize = get("seg")?.parse().ok()?;
-                let li: usize = get("layer")?.parse().ok()?;
-                let values = rle_decode(line)?;
-                segments.get_mut(si)?.layers.get_mut(li)?.stream = values;
-            }
-            "blocks" => {
-                let si: usize = get("seg")?.parse().ok()?;
-                let li: usize = get("layer")?.parse().ok()?;
-                let deltas = rle_decode(line)?;
-                let mut acc = 0u32;
-                let starts = deltas
-                    .iter()
-                    .map(|&d| {
-                        acc = acc.checked_add(d)?;
-                        Some(acc)
-                    })
-                    .collect::<Option<Vec<u32>>>()?;
-                segments.get_mut(si)?.layers.get_mut(li)?.block_starts = starts;
-            }
-            "join" => {
-                joins.push(JoinSpec {
-                    name: unesc(get("name")?),
-                    output: get("out")?.parse().ok()?,
-                    a: parse_operand(get("a")?)?,
-                    b: parse_operand(get("b")?)?,
-                    graph_output: get("gout")? == "1",
-                });
-            }
-            "op" => {
-                let kind = parts.next()?;
-                let op = match kind {
-                    "stage" => Op::Stage {
-                        seg: get("seg")?.parse().ok()?,
-                        fresh: get("fresh")? == "1",
-                        take: get("take")? == "1",
-                    },
-                    "fire" => Op::Fire {
-                        seg: get("seg")?.parse().ok()?,
-                        layer: get("layer")?.parse().ok()?,
-                    },
-                    "reorder" => Op::Reorder {
-                        seg: get("seg")?.parse().ok()?,
-                        layer: get("layer")?.parse().ok()?,
-                    },
-                    "swap" => Op::Swap {
-                        seg: get("seg")?.parse().ok()?,
-                    },
-                    "drain" => Op::Drain {
-                        seg: get("seg")?.parse().ok()?,
-                    },
-                    "join" => Op::Join {
-                        join: get("join")?.parse().ok()?,
-                    },
-                    "park" => Op::Park {
-                        tensor: get("t")?.parse().ok()?,
-                    },
-                    "unpark" => Op::Unpark {
-                        tensor: get("t")?.parse().ok()?,
-                        free: get("free")? == "1",
-                    },
-                    _ => return None,
-                };
-                ops.push(op);
-            }
-            _ => return None,
-        }
-    }
-
-    let config = config?;
-    let energy_model = EnergyModel::tsmc28();
-    let mut compiled_segments: Vec<CompiledSegment> = Vec::with_capacity(segments.len());
-    for seg in segments {
-        let mut layers: Vec<CompiledLayer> = Vec::with_capacity(seg.layers.len());
-        let mut names: Vec<String> = Vec::with_capacity(seg.layers.len());
-        for lp in seg.layers {
-            let exec = LayerExec::new(&config, &lp.layer, &lp.mapping).ok()?;
-            let routes =
-                RouteStream::recompile(&exec, lp.requests, lp.stream, lp.block_starts).ok()?;
-            // The block table must cover every (wt_m, wt_c, n) work block or
-            // replay would index out of range.
-            if routes.block_starts.len() != exec.block_count() {
-                return None;
-            }
-            let weight = if lp.pool {
-                WeightSource::Pool(pool_window_weights(&lp.layer))
-            } else {
-                WeightSource::Node(NodeId(lp.weight_node))
-            };
-            names.push(lp.name);
-            layers.push(CompiledLayer {
-                iact_spec: iact_spec(&lp.layer, &lp.mapping),
-                oact_spec: oact_spec(&lp.layer, &lp.mapping),
-                idims: lp.layer.iact_dim_sizes(),
-                odims: lp.layer.oact_dim_sizes(),
-                exec,
-                weight,
-                routes,
-            });
-        }
-        if layers.is_empty() {
-            return None;
-        }
-        compiled_segments.push(CompiledSegment {
-            names,
-            input: seg.input,
-            output: seg.output,
-            graph_input: seg.graph_input,
-            graph_output: seg.graph_output,
-            layers,
-        });
-    }
-    if tensors.get(input_slot).is_none() || compiled_segments.is_empty() {
-        return None;
-    }
-    let input_shape = tensors[input_slot].shape;
-    Some(Program {
-        name,
-        config,
-        batch,
-        quant_shift,
-        quant_zero,
-        threads,
-        input_shape,
-        input_slot,
-        fingerprint,
-        energy_model,
-        tensors,
-        segments: compiled_segments.into(),
-        joins,
-        ops,
-    })
-}
-
 // ------------------------------------------------------------ text helpers
 
 fn kind_token(kind: ConvKind) -> &'static str {
@@ -1715,15 +1110,6 @@ fn kind_token(kind: ConvKind) -> &'static str {
         ConvKind::Standard => "standard",
         ConvKind::Depthwise => "depthwise",
         ConvKind::Pointwise => "pointwise",
-    }
-}
-
-fn parse_kind(token: &str) -> Option<ConvKind> {
-    match token {
-        "standard" => Some(ConvKind::Standard),
-        "depthwise" => Some(ConvKind::Depthwise),
-        "pointwise" => Some(ConvKind::Pointwise),
-        _ => None,
     }
 }
 
@@ -1735,137 +1121,11 @@ fn operand_token(src: OperandSrc) -> &'static str {
     }
 }
 
-fn parse_operand(token: &str) -> Option<OperandSrc> {
-    match token {
-        "fresh_move" => Some(OperandSrc::Fresh { take: true }),
-        "fresh_copy" => Some(OperandSrc::Fresh { take: false }),
-        "queue" => Some(OperandSrc::Queue),
-        _ => None,
-    }
-}
-
-fn join_usizes(values: &[usize]) -> String {
-    values
-        .iter()
-        .map(|v| v.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-fn parse_usizes<const N: usize>(text: &str) -> Option<[usize; N]> {
-    let parsed: Vec<usize> = text
-        .split(',')
-        .map(|tok| tok.parse().ok())
-        .collect::<Option<Vec<_>>>()?;
-    parsed.try_into().ok()
-}
-
-/// First differences of a non-decreasing sequence (starting from zero), the
-/// form block-start tables compress best in.
-fn deltas_of(values: &[u32]) -> Vec<u32> {
-    let mut prev = 0u32;
-    values
-        .iter()
-        .map(|&v| {
-            let d = v - prev;
-            prev = v;
-            d
-        })
-        .collect()
-}
-
-/// Run-length encodes `values` as space-separated `v` / `vxN` tokens.
-fn rle_encode(values: &[u32]) -> String {
-    let mut out = String::new();
-    let mut i = 0;
-    while i < values.len() {
-        let v = values[i];
-        let mut run = 1;
-        while i + run < values.len() && values[i + run] == v {
-            run += 1;
-        }
-        if !out.is_empty() {
-            out.push(' ');
-        }
-        if run > 1 {
-            let _ = write!(out, "{v}x{run}");
-        } else {
-            let _ = write!(out, "{v}");
-        }
-        i += run;
-    }
-    out
-}
-
-/// Decodes the `v` / `vxN` tokens of a `stream`/`blocks` line (skipping the
-/// leading tag and `key=value` pairs).
-fn rle_decode(line: &str) -> Option<Vec<u32>> {
-    let mut values = Vec::new();
-    for tok in line.split_whitespace().skip(1) {
-        if tok.contains('=') {
-            continue;
-        }
-        match tok.split_once('x') {
-            Some((v, n)) => {
-                let v: u32 = v.parse().ok()?;
-                let n: usize = n.parse().ok()?;
-                values.extend(std::iter::repeat(v).take(n));
-            }
-            None => values.push(tok.parse().ok()?),
-        }
-    }
-    Some(values)
-}
-
-/// Escapes a string for single-token storage (space, `=`, `%`, newlines).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '%' => out.push_str("%25"),
-            ' ' => out.push_str("%20"),
-            '=' => out.push_str("%3D"),
-            '\t' => out.push_str("%09"),
-            '\n' => out.push_str("%0A"),
-            '\r' => out.push_str("%0D"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-/// Reverses [`esc`] (unknown escapes pass through verbatim).
-fn unesc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '%' {
-            out.push(c);
-            continue;
-        }
-        let pair: String = chars.clone().take(2).collect();
-        match pair.as_str() {
-            "25" => out.push('%'),
-            "20" => out.push(' '),
-            "3D" => out.push('='),
-            "09" => out.push('\t'),
-            "0A" => out.push('\n'),
-            "0D" => out.push('\r'),
-            _ => {
-                out.push(c);
-                continue;
-            }
-        }
-        chars.next();
-        chars.next();
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use feather_arch::graph::Graph;
+    use feather_arch::workload::ConvLayer;
 
     fn residual_graph() -> Graph {
         let mut g = Graph::new("residual", [1, 4, 6, 6]);
@@ -1902,13 +1162,6 @@ mod tests {
         g.conv(j1, ConvLayer::new(1, 4, 8, 6, 6, 1, 1).with_name("head"))
             .unwrap();
         g
-    }
-
-    fn temp_path(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!(
-            "feather-program-test-{tag}-{}.program",
-            std::process::id()
-        ))
     }
 
     #[test]
@@ -2033,108 +1286,6 @@ mod tests {
         assert!(replay.run_batched(&[], &weights).is_err());
     }
 
-    #[test]
-    fn artifact_roundtrip_preserves_program_and_results() {
-        let g = residual_graph();
-        let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
-        let program = session.compile().unwrap();
-        let path = temp_path("roundtrip");
-        program.save_to(&path).unwrap();
-        let loaded = Program::load_from(&path).expect("artifact loads");
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(loaded.fingerprint(), program.fingerprint());
-        assert_eq!(loaded.dump(), program.dump());
-        let iacts = Tensor4::random([1, 4, 6, 6], 31);
-        let weights = g.random_weights(32);
-        let interpreted = session.run_interpreted(&iacts, &weights).unwrap();
-        let replayed = ProgramSession::new(loaded).run(&iacts, &weights).unwrap();
-        assert_eq!(replayed.oacts, interpreted.oacts);
-        assert_eq!(replayed.report, interpreted.report);
-    }
-
-    #[test]
-    fn malformed_artifacts_degrade_to_none() {
-        let path = temp_path("malformed");
-        std::fs::write(&path, "not a program\n").unwrap();
-        assert!(Program::load_from(&path).is_none());
-        std::fs::write(&path, format!("{HEADER}\nmeta nope\n")).unwrap();
-        assert!(Program::load_from(&path).is_none());
-        let _ = std::fs::remove_file(&path);
-        assert!(Program::load_from(Path::new("/nonexistent/p.program")).is_none());
-    }
-
-    #[test]
-    fn checksum_rejects_truncation_and_bit_flips() {
-        let g = residual_graph();
-        let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
-        let program = session.compile().unwrap();
-        let text = program.serialize();
-        assert!(parse_program(&text).is_some(), "pristine artifact loads");
-
-        // Truncation: drop the tail (checksum line gone or body shortened).
-        for keep in [text.len() / 2, text.len() - 20] {
-            assert!(
-                parse_program(&text[..keep]).is_none(),
-                "truncated at {keep} must be rejected"
-            );
-        }
-        // A single flipped bit in the middle of the body.
-        let mut bytes = text.clone().into_bytes();
-        bytes[text.len() / 2] ^= 0x40;
-        let flipped = String::from_utf8(bytes).unwrap();
-        assert!(
-            parse_program(&flipped).is_none(),
-            "bit flip must be rejected"
-        );
-    }
-
-    #[test]
-    fn corrupt_artifacts_are_quarantined_once_then_cache_hits() {
-        let g = residual_graph();
-        let session = GraphSession::auto(FeatherConfig::new(4, 8), &g).unwrap();
-        let dir = std::env::temp_dir().join(format!(
-            "feather-program-test-quarantine-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        // Populate the cache, then corrupt the artifact in place.
-        let (program, status) = compile_cached_in(&session, &dir).unwrap();
-        assert_eq!(status, ArtifactStatus::Miss);
-        let path = artifact_path(&dir, &g.name, session.batch(), session.fingerprint());
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-
-        // The corruption is detected, the file moved aside, and the
-        // recompile produces the same program.
-        let (recompiled, status) = compile_cached_in(&session, &dir).unwrap();
-        assert_eq!(status, ArtifactStatus::Quarantined);
-        assert_eq!(recompiled.dump(), program.dump());
-        let bad = {
-            let mut os = path.as_os_str().to_os_string();
-            os.push(".bad");
-            PathBuf::from(os)
-        };
-        assert_eq!(std::fs::read(&bad).unwrap(), bytes, "evidence preserved");
-
-        // Quarantined once: the path now holds a good artifact again, so
-        // the next miss is a plain Hit, not another parse of bad bytes.
-        let (_, status) = compile_cached_in(&session, &dir).unwrap();
-        assert_eq!(status, ArtifactStatus::Hit);
-
-        // Truncation is caught the same way.
-        let good = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &good[..good.len() / 3]).unwrap();
-        let (_, status) = compile_cached_in(&session, &dir).unwrap();
-        assert_eq!(status, ArtifactStatus::Quarantined);
-        let (_, status) = compile_cached_in(&session, &dir).unwrap();
-        assert_eq!(status, ArtifactStatus::Hit);
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// The route digest covers each part of a layer's route stream: moving
     /// a route to another slot, retargeting one fire or shifting one block
     /// start each changes it, though every count in the `routes` line of
@@ -2174,27 +1325,5 @@ mod tests {
         assert_ne!(base.fingerprint(), requantized.fingerprint());
         let other_fabric = GraphSession::auto(FeatherConfig::new(4, 4), &g).unwrap();
         assert_ne!(base.fingerprint(), other_fabric.fingerprint());
-    }
-
-    #[test]
-    fn rle_roundtrip() {
-        for values in [
-            vec![],
-            vec![7],
-            vec![0, 0, 0, 1, 2, 2, 2, 2],
-            vec![5, 5, 5, 5, 5],
-            (0..40u32).collect(),
-        ] {
-            let line = format!("stream seg=0 layer=0 {}", rle_encode(&values));
-            assert_eq!(rle_decode(&line).unwrap(), values, "{line}");
-        }
-    }
-
-    #[test]
-    fn escape_roundtrip() {
-        for s in ["plain", "with space", "a=b", "100%", "t\nx", ""] {
-            assert_eq!(unesc(&esc(s)), s, "{s:?}");
-            assert!(!esc(s).contains(' '), "{s:?} escaped must be one token");
-        }
     }
 }

@@ -290,8 +290,8 @@ impl NetworkSession {
         self.route_cache = cache;
     }
 
-    /// The session's shared compiled-route cache — the program compiler
-    /// resolves (and warms) routes through it during the collect pass.
+    /// The session's shared compiled-route cache — lowering resolves (and
+    /// warms) each layer's first-seen routes through it.
     pub(crate) fn route_cache(&self) -> &Arc<RouteCache> {
         &self.route_cache
     }

@@ -71,11 +71,9 @@ impl GraphPlan {
 
     /// FNV-1a 64 fingerprint of the plan's *schedule* — graph name plus every
     /// node's chosen `(dataflow, layout)` pair, in node order. Two plans that
-    /// fingerprint equal would lower to byte-identical compiled programs, so
-    /// this is the key downstream artifact caches (e.g.
-    /// `feather::GraphSession::compile_cached`'s program store under
-    /// `FEATHER_CACHE_DIR`) invalidate on: it changes exactly when a
-    /// co-search decision changes, not when modeled costs drift.
+    /// fingerprint equal would lower to identical compiled programs, so it
+    /// identifies a schedule: it changes exactly when a co-search decision
+    /// changes, not when modeled costs drift.
     pub fn fingerprint(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -47,17 +47,15 @@ const FILE_NAME: &str = "cosearch.cache";
 
 /// The shared on-disk cache root, when `FEATHER_CACHE_DIR` is set.
 ///
-/// All persisted FEATHER artifacts live under this one directory so a single
-/// environment variable warms every layer of the stack:
+/// The directory holds one file, the co-search tables of this module:
 ///
 /// ```text
 /// $FEATHER_CACHE_DIR/
 ///   cosearch.cache            co-search tables (this module)
-///   programs/
-///     <model>-b<batch>-<fingerprint>.program
-///                             compiled graph programs
-///                             (`feather::GraphSession::compile_cached`)
 /// ```
+///
+/// Compiled graph programs are not persisted: lowering a planned graph is
+/// data-free and faster than parsing a stored program back.
 pub fn cache_dir() -> Option<PathBuf> {
     std::env::var_os("FEATHER_CACHE_DIR").map(PathBuf::from)
 }

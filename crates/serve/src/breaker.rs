@@ -1,15 +1,14 @@
 //! Per-model circuit breaker.
 //!
-//! When a model fails `threshold` batch executions in a row — a corrupt
-//! artifact, a replay that keeps panicking — continuing to admit its
+//! When a model fails `threshold` batch executions in a row — a program that
+//! will not compile, a replay that keeps panicking — continuing to admit its
 //! requests just burns queue slots and worker time on work that will fail
 //! anyway, and starves healthy models behind it. The breaker cuts that off:
-//! after the threshold trips it **opens** and requests for the model
-//! fast-fail as [`Unavailable`](crate::ServeError::Unavailable) at submit,
-//! without ever touching the queue. Once `cooldown` has elapsed, the next
-//! submit is admitted as a **half-open probe**; if it completes, the breaker
-//! closes and traffic resumes, and if it fails the breaker re-opens for
-//! another cooldown.
+//! after the threshold trips it **opens** and requests for the model fast-fail
+//! as [`Unavailable`](crate::ServeError::Unavailable) at submit, without ever
+//! touching the queue. Once `cooldown` has elapsed, the next submit is admitted
+//! as a **half-open probe**; if it completes, the breaker closes and traffic
+//! resumes, and if it fails the breaker re-opens for another cooldown.
 //!
 //! A `threshold` of 0 disables the breaker entirely.
 

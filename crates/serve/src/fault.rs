@@ -1,13 +1,13 @@
 //! Deterministic, seeded fault injection for the serving stack.
 //!
 //! A [`FaultPlan`] names a ChaCha8 seed plus per-site injection rates; the
-//! server consults it at four points — replay entry, artifact load, program
+//! server consults it at four points — replay entry, program compile, program
 //! cache insert, and worker pickup — and the chaos tests drive the whole
 //! retry/supervision/breaker machinery through it. Each decision is a pure
 //! function of `(seed, site, draw index)`, so a given plan replays the same
 //! fault sequence on every run regardless of wall-clock timing (thread
-//! interleaving can still reorder which *request* hits draw `n`, but the
-//! fault pattern itself is fixed).
+//! interleaving can still reorder which *request* hits draw `n`, but the fault
+//! pattern itself is fixed).
 //!
 //! Plans come from [`FaultPlan::parse`] or the `FEATHER_FAULT_PLAN`
 //! environment variable, e.g.:
@@ -38,8 +38,10 @@ pub enum FaultSite {
     /// Entry of a program replay on an executor worker (`replay`). Supports
     /// `fail` and `panic`.
     ReplayEntry = 0,
-    /// Loading/compiling a program through the artifact cache (`artifact`).
-    /// Supports `fail` (panics here would poison no useful state).
+    /// Compiling a model's program at a program-cache miss (`artifact`, the
+    /// token kept from when that miss first tried an on-disk artifact, so
+    /// existing plans keep working). Supports `fail` (panics here would
+    /// poison no useful state).
     ArtifactLoad = 1,
     /// Inserting a freshly-compiled program into the in-memory program
     /// cache (`insert`). Supports `fail`.

@@ -30,10 +30,10 @@
 //!   run.
 //! - **Compiled-program replay** — the first batch of a model compiles its
 //!   planned batch-1 [`feather::GraphSession`] into a flat
-//!   [`feather::Program`] (checking the `FEATHER_CACHE_DIR` artifact cache
-//!   first); every later batch, whatever its size, replays that one resident
-//!   [`feather::ProgramSession`] with zero planning or per-layer dispatch
-//!   work, as one lane-lockstep replay call with request `i` on lane `i`.
+//!   [`feather::Program`]; every later batch, whatever its size, replays
+//!   that one resident [`feather::ProgramSession`] with zero planning or
+//!   per-layer dispatch work, as one lane-lockstep replay call with request
+//!   `i` on lane `i`.
 //!   [`ProgramCacheStats`] exposes the hit/miss counters, and each worker
 //!   reuses a [`feather::ReplayScratch`] per (model, batch size) so
 //!   steady-state replay allocates no buffer memory either.

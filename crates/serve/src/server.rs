@@ -24,11 +24,10 @@
 //! executor boundary, never run, and are counted in [`ServerStats`].
 //!
 //! The hot path replays one compiled program per model: the first batch
-//! compiles the planned batch-1 [`GraphSession`] into a [`feather::Program`]
-//! (consulting the `FEATHER_CACHE_DIR` artifact cache first), and every
-//! later batch replays the cached [`ProgramSession`] with zero planning,
-//! hashing or per-layer dispatch work — [`ProgramCacheStats`] counts exactly
-//! that. Every batch, whatever its size, is one lane-vectorized replay
+//! compiles the planned batch-1 [`GraphSession`] into a [`feather::Program`],
+//! and every later batch replays the cached [`ProgramSession`] with zero
+//! planning, hashing or per-layer dispatch work — [`ProgramCacheStats`]
+//! counts exactly that. Every batch, whatever its size, is one lane-vectorized replay
 //! ([`ProgramSession::run_batched_with_scratch`]) with request `i` on lane
 //! `i`. Each worker keeps a [`ReplayScratch`] per (model, batch size) it has
 //! served, so steady-state replay allocates no buffer memory either.
@@ -56,8 +55,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use feather::{
-    ArtifactStatus, FeatherConfig, GraphRun, GraphSession, ProgramSession, ReplayScratch,
-    RouteCacheStats,
+    FeatherConfig, GraphRun, GraphSession, ProgramSession, ReplayScratch, RouteCacheStats,
 };
 use feather_arch::graph::{Graph, NodeId};
 use feather_arch::tensor::Tensor4;
@@ -231,10 +229,8 @@ struct Model {
 }
 
 impl Model {
-    /// The model's replay session, compiling it (through the on-disk
-    /// artifact cache) only on the first call. `fault` injects load/insert
-    /// failures on the miss path — with a plan active the `artifact_*`
-    /// counters can undercount `misses` by the injected failures.
+    /// The model's replay session, compiling it only on the first call.
+    /// `fault` injects compile/insert failures on the miss path.
     fn program_for(&self, fault: Option<&FaultPlan>) -> Result<Arc<ProgramSession>, ServeError> {
         let mut cache = lock_recover(&self.programs);
         if let Some(program) = cache.program.clone() {
@@ -246,17 +242,11 @@ impl Model {
             .and_then(|f| f.roll(FaultSite::ArtifactLoad))
             .is_some()
         {
-            return Err(ServeError::Failed("injected: artifact load failure".into()));
+            return Err(ServeError::Failed(
+                "injected: program compile failure".into(),
+            ));
         }
-        let (program, status) = self.base.compile_cached()?;
-        match status {
-            ArtifactStatus::Hit => cache.stats.artifact_hits += 1,
-            ArtifactStatus::Miss | ArtifactStatus::Disabled => cache.stats.artifact_misses += 1,
-            ArtifactStatus::Quarantined => {
-                cache.stats.artifact_misses += 1;
-                cache.stats.artifact_quarantined += 1;
-            }
-        }
+        let program = self.base.compile()?;
         if fault.and_then(|f| f.roll(FaultSite::CacheInsert)).is_some() {
             return Err(ServeError::Failed("injected: cache insert failure".into()));
         }
@@ -686,8 +676,8 @@ impl Server {
             .map(|m| m.base.route_cache_stats())
     }
 
-    /// Counters of a registered model's compiled-program cache: in-memory
-    /// replay hits/misses plus on-disk artifact hits/misses. A warm server
+    /// Counters of a registered model's compiled-program cache: replay
+    /// hits and compile misses. A warm server
     /// shows only `hits` moving — every batch after the first does zero
     /// planning or compile work.
     pub fn program_cache_stats(&self, model: &str) -> Option<ProgramCacheStats> {
@@ -1600,7 +1590,6 @@ mod tests {
         // One compile on the first batch-1 request, replays ever after.
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 2);
-        assert_eq!(stats.artifact_hits + stats.artifact_misses, 1);
         assert!(server.program_cache_stats("nope").is_none());
     }
 
@@ -1935,7 +1924,6 @@ mod tests {
         // and no lost counter updates.
         assert_eq!(stats.misses, 1, "the model compiles exactly once");
         assert_eq!(stats.hits + stats.misses, (THREADS * CALLS) as u64);
-        assert_eq!(stats.artifact_hits + stats.artifact_misses, stats.misses);
         assert!(programs.iter().all(|p| Arc::ptr_eq(p, &programs[0])));
     }
 

@@ -68,31 +68,18 @@ impl TenantStats {
 }
 
 /// Counters of one model's compiled-program cache: the model's one
-/// in-memory batch-1 program the scheduler replays every batch from, and the
-/// on-disk artifact cache (`FEATHER_CACHE_DIR/programs/`) consulted when the
-/// in-memory miss forces a compile.
+/// in-memory batch-1 program the scheduler replays every batch from.
 ///
-/// Steady-state serving shows `hits` growing and everything else flat: a
-/// model compiles at most once per process (`misses` stays at 1 unless an
-/// injected fault aborted a compile), and with a warm artifact cache even
-/// that compile is replaced by a disk load (`artifact_hits`).
+/// Steady-state serving shows `hits` growing and `misses` flat: a model
+/// compiles at most once per process (`misses` stays at 1 unless an
+/// injected fault aborted a compile).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProgramCacheStats {
     /// Executed batches (of any size) that replayed the already-resident
     /// compiled program (zero planning or compile work).
     pub hits: u64,
-    /// Batches that found no resident program and triggered a compile or
-    /// artifact load.
+    /// Batches that found no resident program and triggered a compile.
     pub misses: u64,
-    /// Compiles avoided by loading a matching on-disk artifact.
-    pub artifact_hits: u64,
-    /// Compiles that ran because no matching artifact existed (or the
-    /// artifact cache is disabled).
-    pub artifact_misses: u64,
-    /// Corrupt artifacts (bad checksum, truncation, or fingerprint
-    /// mismatch) detected on load and renamed aside to `*.bad` before a
-    /// fresh compile replaced them.
-    pub artifact_quarantined: u64,
 }
 
 /// A snapshot of the whole server's counters.

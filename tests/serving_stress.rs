@@ -536,7 +536,7 @@ fn weighted_fair_scheduling_bounds_light_tenant_service_delay() {
 //
 // The fault-injection suite (all names start with `chaos_` so CI can run it
 // standalone): a seeded `FaultPlan` makes batches fail, workers panic, and
-// artifact/cache operations misbehave, deterministically per seed. Under any
+// program compile/cache operations misbehave, deterministically per seed. Under any
 // plan the server must neither deadlock nor lose a request: every admitted
 // request resolves exactly once (the conservation invariant), every
 // `Ok` response is bit-identical to the solo golden, and the pool keeps
